@@ -27,17 +27,9 @@ let fail fmt =
 let usage () =
   fail "usage: trace.exe TRACE.jsonl [--top N] [--since TICK] [--until TICK]"
 
-type event = { event_name : string; event_attrs : (string * Json.t) list }
-
-type span = {
-  id : int;
-  parent : int option;
-  name : string;
-  start : int;
-  stop : int;
-  attrs : (string * Json.t) list;
-  events : event list;
-}
+(* Spans as [Obs.Span_tree] shapes them; the conservation check lives
+   there so tests can run it on in-memory traces. *)
+open Obs.Span_tree
 
 (* --- parsing --- *)
 
@@ -132,9 +124,6 @@ let load path =
 
 (* --- span-tree helpers --- *)
 
-let attr_int key attrs =
-  match List.assoc_opt key attrs with Some (Json.Int i) -> Some i | _ -> None
-
 let attr_show key attrs =
   match List.assoc_opt key attrs with
   | Some (Json.String s) -> s
@@ -142,21 +131,6 @@ let attr_show key attrs =
   | None -> "?"
 
 let duration s = s.stop - s.start
-
-let children_of spans =
-  let table = Hashtbl.create (List.length spans) in
-  List.iter
-    (fun s ->
-      match s.parent with
-      | None -> ()
-      | Some p ->
-        Hashtbl.replace table p
-          (s :: Option.value (Hashtbl.find_opt table p) ~default:[]))
-    spans;
-  fun s -> List.rev (Option.value (Hashtbl.find_opt table s.id) ~default:[])
-
-let rec descendants children s =
-  List.concat_map (fun kid -> kid :: descendants children kid) (children s)
 
 (* --- per-stage attribution --- *)
 
@@ -222,44 +196,19 @@ let print_stages spans children =
 
 (* --- per-query message conservation --- *)
 
-(* The convention the instrumentation maintains: the query span's
-   [messages] attr is its claimed total, and every message the query paid
-   for is attributed exactly once below it — [msgs] on serve spans
-   (single-query path), [msgs] on fresh route spans and contact events
-   (batch path). Shared batch work referenced via *_memo_hit/_coalesced
-   events carries no [msgs], so coalesced queries sum to their marginal
-   cost. *)
-let attributed_msgs children query =
-  let event_msgs s =
-    List.fold_left
-      (fun acc e -> acc + Option.value (attr_int "msgs" e.event_attrs) ~default:0)
-      0 s.events
-  in
-  List.fold_left
-    (fun acc s -> acc + event_msgs s + Option.value (attr_int "msgs" s.attrs) ~default:0)
-    (event_msgs query) (descendants children query)
-
-let check_queries queries children =
-  let mismatches = ref 0 in
-  let total = ref 0 in
+let check_queries children spans =
+  let report = conservation children spans in
   List.iter
-    (fun q ->
-      match attr_int "messages" q.attrs with
-      | None -> ()
-      | Some claimed ->
-        total := !total + claimed;
-        let attributed = attributed_msgs children q in
-        if attributed <> claimed then begin
-          incr mismatches;
-          Printf.printf
-            "  MISMATCH query span %d: messages attr %d, span tree attributes %d\n"
-            q.id claimed attributed
-        end)
-    queries;
+    (fun m ->
+      Printf.printf
+        "  MISMATCH query span %d: messages attr %d, span tree attributes %d\n"
+        m.query m.claimed m.attributed)
+    report.mismatches;
   Printf.printf
     "Message conservation: %d queries, %d total messages, %d mismatches\n"
-    (List.length queries) !total !mismatches;
-  !mismatches = 0
+    report.queries report.messages
+    (List.length report.mismatches);
+  report.mismatches = []
 
 (* --- critical paths and hop waterfalls --- *)
 
@@ -389,7 +338,7 @@ let () =
   print_stages spans children;
   Printf.printf "\n";
   let queries = List.filter (fun s -> s.name = "query") spans in
-  let ok = check_queries queries children in
+  let ok = check_queries children spans in
   let slowest =
     List.sort (fun a b -> compare (duration b, a.id) (duration a, b.id)) queries
   in

@@ -8,9 +8,9 @@
     which field was wrong, which peer was unknown — in the style of
     database driver errors that attach the offending query.
 
-    Truly-programmer-facing misuse (indexing a missing ring position,
-    deprecated shims) keeps its stdlib exceptions; [Error] is for the
-    validated front doors. *)
+    Truly-programmer-facing misuse (indexing a missing ring position)
+    keeps its stdlib exceptions; [Error] is for the validated front
+    doors. *)
 
 type code =
   | Invalid_config  (** a {!Config.t} field fails {!Config.validate} *)

@@ -3,8 +3,7 @@
     One query — batched or not — produces exactly one [t]: the match (if
     any), its quality scores, the lookup cost, and the degradation status
     under faults. {!System.query}, {!System.query_batch} and the engine's
-    provenance all speak this type; the per-entry-point result records of
-    earlier releases are deprecated aliases of it. *)
+    provenance all speak this type. *)
 
 type lookup_stats = {
   identifiers : Chord.Id.t list;  (** the [l] identifiers contacted *)

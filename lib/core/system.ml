@@ -228,8 +228,8 @@ let fail_peer t peer =
   Obs.Series.mark_s "system.fail_peer" "peer" (Peer.name peer);
   note_churn t peer
 
-(* [recover_peer] and the deprecated shims are defined below [repair],
-   which recovery triggers when hinted handoff is on. *)
+(* [recover_peer] is defined below [repair], which recovery triggers
+   when hinted handoff is on. *)
 
 let load_imbalance t =
   Balance.Tracker.load_imbalance t.tracker
@@ -292,19 +292,13 @@ let traced_identifiers t range =
 
 let padding_fraction t = Padding.current_fraction t.padding
 
-type lookup_stats = Query_result.lookup_stats
-type query_result = Query_result.t
-
-(* Route each identifier from the requesting peer; return owners with hop
-   counts. Owners may repeat when consecutive identifiers share a segment. *)
-let route_all t ~from ids =
-  List.map
-    (fun identifier ->
-      let owner, hops =
-        Routing.lookup t.routing ~from:(Peer.id from) ~key:identifier
-      in
-      (identifier, peer_by_id t owner, hops))
-    ids
+(* Route one identifier from the requesting peer to its owner, with the
+   hop count. *)
+let route_one t ~from identifier =
+  let owner, hops =
+    Routing.lookup t.routing ~from:(Peer.id from) ~key:identifier
+  in
+  (identifier, peer_by_id t owner, hops)
 
 (* One substrate lookup from a peer — the routed position and its hop
    count, for callers (Engine) that price their own messages. *)
@@ -357,12 +351,17 @@ let s_hint_serves = Obs.Series.counter ~labels:[ "peer" ] "system.hint_serves"
 let s_hints_replayed = Obs.Series.counter "system.hints_replayed"
 let s_migrations = Obs.Series.counter ~labels:[ "peer" ] "balance.migrations"
 
+(* Store [entry] in [peer]'s bucket unless an equal range is already
+   there, tallying the stored entry; true when it inserted. *)
 let insert_tracked t peer ~identifier entry =
-  if not (Store.mem (Peer.store peer) ~identifier ~range:entry.Store.range)
-  then begin
+  let fresh =
+    not (Store.mem (Peer.store peer) ~identifier ~range:entry.Store.range)
+  in
+  if fresh then begin
     Store.insert (Peer.store peer) ~identifier entry;
     Balance.Tracker.record_entry t.tracker ~peer:(Peer.id peer)
-  end
+  end;
+  fresh
 
 (* With migration on: the routed ring position, the peer now responsible
    for the identifier after any slice redirect, and whether a redirect
@@ -414,7 +413,7 @@ let apply_move t (mv : Balance.Migration.move) =
             in
             List.iter
               (fun (entry : Store.entry) ->
-                insert_tracked t target ~identifier entry;
+                ignore (insert_tracked t target ~identifier entry : bool);
                 incr moved)
               entries;
             ignore (Store.remove_bucket (Peer.store source) ~identifier : int)
@@ -456,7 +455,8 @@ let store_at_owners t routes ~range ~partition =
   List.iter
     (fun (identifier, owner, _) ->
       let home, _, _ = resolve_home t ~identifier ~owner in
-      if responsive t home then insert_tracked t home ~identifier entry;
+      if responsive t home then
+        ignore (insert_tracked t home ~identifier entry : bool);
       match t.replication with
       | None -> ()
       | Some rs -> (
@@ -467,7 +467,8 @@ let store_at_owners t routes ~range ~partition =
           List.iter
             (fun position ->
               let rp = peer_by_id t position in
-              if responsive t rp then insert_tracked t rp ~identifier entry)
+              if responsive t rp then
+                ignore (insert_tracked t rp ~identifier entry : bool))
             positions))
     routes
 
@@ -494,7 +495,7 @@ let park_hint t ~from ~identifier ~hops entry =
           let cp = peer_by_id t cpos in
           if responsive t cp && contact_peer t ~from ~peer:cp ~legs:(hops + 2)
           then begin
-            insert_tracked t cp ~identifier entry;
+            ignore (insert_tracked t cp ~identifier entry : bool);
             let holders =
               Option.value (Hashtbl.find_opt t.hints identifier) ~default:[]
             in
@@ -554,15 +555,9 @@ let repair t =
                         List.rev (Store.peek_bucket (Peer.store hp) ~identifier)
                       in
                       List.iter
-                        (fun (entry : Store.entry) ->
-                          if
-                            not
-                              (Store.mem (Peer.store home) ~identifier
-                                 ~range:entry.Store.range)
-                          then begin
-                            insert_tracked t home ~identifier entry;
-                            incr replayed
-                          end)
+                        (fun entry ->
+                          if insert_tracked t home ~identifier entry then
+                            incr replayed)
                         entries;
                       let holder_is_replica =
                         match t.replication with
@@ -603,19 +598,10 @@ let repair t =
                     let rp = peer_by_id t position in
                     if Peer.id rp <> Peer.id home && responsive t rp then
                       List.iter
-                        (fun (entry : Store.entry) ->
-                          if
-                            not
-                              (Store.mem (Peer.store rp) ~identifier
-                                 ~range:entry.Store.range)
-                          then begin
-                            Store.insert (Peer.store rp) ~identifier entry;
-                            Balance.Tracker.record_entry t.tracker
-                              ~peer:(Peer.id rp);
-                            incr resynced
-                          end)
-                        entries
-                  )
+                        (fun entry ->
+                          if insert_tracked t rp ~identifier entry then
+                            incr resynced)
+                        entries)
                   (Option.value
                      (Hashtbl.find_opt rs.replicas identifier)
                      ~default:[])
@@ -641,10 +627,6 @@ let recover_peer t peer =
      buckets) and re-syncs its replica copies. Gated, so recovery is
      bit-identical to older builds when hints are off. *)
   if t.config.Config.hinted_handoff then repair t
-
-(* Deprecated spellings kept for one release; see the interface. *)
-let fail = fail_peer
-let recover = recover_peer
 
 (* Create or refresh the replica set of a hot identifier, or lazily drop
    the replicas of one that has cooled since its last lookup. Copies are
@@ -675,16 +657,9 @@ let maintain_replicas t rs ~identifier ~owner =
         (fun position ->
           let rp = peer_by_id t position in
           List.iter
-            (fun (entry : Store.entry) ->
-              if
-                not
-                  (Store.mem (Peer.store rp) ~identifier
-                     ~range:entry.Store.range)
-              then begin
-                Store.insert (Peer.store rp) ~identifier entry;
-                Balance.Tracker.record_entry t.tracker ~peer:(Peer.id rp);
-                Obs.Metrics.incr m_replicated_entries
-              end)
+            (fun entry ->
+              if insert_tracked t rp ~identifier entry then
+                Obs.Metrics.incr m_replicated_entries)
             entries)
         desired
     end
@@ -768,19 +743,88 @@ let hint_serve t ~contact ~effective ~identifier ~hops =
       in
       try_holders holders
 
+let m_batches = Obs.Metrics.counter "system.batch.batches"
+let m_batch_queries = Obs.Metrics.counter "system.batch.queries"
+let m_batch_id_hits = Obs.Metrics.counter "system.batch.identifier_hits"
+let m_batch_coalesced = Obs.Metrics.counter "system.batch.coalesced_contacts"
+
+(* The shared state of one batch round: node addresses learned by earlier
+   finger walks, resolved identifier routes, and the outcome of each
+   serving-peer contact (a batch is one message round per peer — later
+   identifiers served by an already-contacted peer ride the same
+   request/reply pair for free). Memos remember the span that paid for
+   the shared work, so later queries' trace events point back at it
+   instead of re-recording the cost. *)
+type shared_round = {
+  route_cache : Routing.cache;
+  routed : (int, Peer.t * int * int) Hashtbl.t; (* id -> owner, hops, span *)
+  contacted : (int, bool * int) Hashtbl.t; (* peer id -> outcome, span *)
+}
+
+(* The round a query runs in — the only thing that differs between
+   [query] and [query_batch]. [Alone]: plain lookups, one retried contact
+   per serve, and a charge of Σ(served hops + 1), attributed as "msgs" on
+   the serve spans. [Batched]: the batch's memos, and a charge of only the
+   traffic this query newly causes — fresh route hops (on its "route"
+   spans) plus one request and one reply per fresh contact (on its
+   "contact" events). *)
+type round = Alone | Batched of { shared : shared_round; index : int }
+
+let current_span () = Option.value (Obs.Trace.current_id ()) ~default:0
+
+let route_in t round ~from ~charge identifier =
+  match round with
+  | Alone -> route_one t ~from identifier
+  | Batched { shared; _ } -> (
+    match Hashtbl.find_opt shared.routed identifier with
+    | Some (owner, hops, resolved_in) ->
+      Obs.Metrics.incr m_batch_id_hits;
+      Obs.Trace.event_ii "batch.id_memo_hit" "identifier" identifier
+        "resolved_in" resolved_in;
+      (identifier, owner, hops)
+    | None ->
+      Obs.Trace.with_span "route" (fun () ->
+          Obs.Trace.set_int "identifier" identifier;
+          let owner_pos, hops =
+            Routing.lookup_via t.routing shared.route_cache
+              ~from:(Peer.id from) ~key:identifier
+          in
+          let owner = peer_by_id t owner_pos in
+          Hashtbl.replace shared.routed identifier
+            (owner, hops, current_span ());
+          charge hops;
+          Obs.Trace.set_int "hops" hops;
+          Obs.Trace.set_int "msgs" hops;
+          (identifier, owner, hops)))
+
+let contact_in t round ~from ~charge peer ~hops =
+  match round with
+  | Alone -> contact_peer t ~from ~peer ~legs:(hops + 1)
+  | Batched { shared; _ } -> (
+    match Hashtbl.find_opt shared.contacted (Peer.id peer) with
+    | Some (ok, first_in) ->
+      Obs.Metrics.incr m_batch_coalesced;
+      Obs.Trace.event_ii "batch.contact_coalesced" "peer" (Peer.id peer)
+        "first_in" first_in;
+      ok
+    | None ->
+      let ok = contact_peer t ~from ~peer ~legs:(hops + 1) in
+      Hashtbl.replace shared.contacted (Peer.id peer) (ok, current_span ());
+      charge 2;
+      Obs.Trace.event_ii "contact" "peer" (Peer.id peer) "msgs" 2;
+      ok)
+
 (* One serve per routed identifier: pick the serving peer, contact it
-   across the fault plane (one retried RPC spanning the route's hops),
-   then read its reply {e before} charging the lookup and letting hotness
-   maintenance react — maintenance may wipe the very bucket just served (a
-   cooled replica). A serve by a non-owner costs one extra overlay hop
-   (the forward from the owner's segment to the chosen successor). The
-   [responded] flag distinguishes "answered with nothing matching" from
-   "never answered" — only the latter degrades the query. *)
-(* [batched] only affects trace attribution: a standalone query charges
-   each serve [hops + 1] messages, so its serve span carries that as
-   "msgs"; inside a batch the per-query cost is the fresh route hops and
-   fresh contacts recorded by [query_batch], so serve spans carry none. *)
-let serve_routes t ~contact ~effective ~batched routes =
+   across the fault plane (one retried RPC spanning the route's hops, or
+   the round's coalesced contact), then read its reply {e before}
+   charging the lookup and letting hotness maintenance react — maintenance
+   may wipe the very bucket just served (a cooled replica). A serve by a
+   non-owner costs one extra overlay hop (the forward from the owner's
+   segment to the chosen successor). The [responded] flag distinguishes
+   "answered with nothing matching" from "never answered" — only the
+   latter degrades the query. *)
+let serve_routes t round ~from ~charge ~effective routes =
+  let contact = contact_in t round ~from ~charge in
   List.map
     (fun (identifier, owner, hops) ->
       Obs.Trace.with_span "serve" (fun () ->
@@ -874,15 +918,14 @@ let serve_routes t ~contact ~effective ~batched routes =
                 (identifier, hops, reply, true)
               end
           in
-          (if not batched then
-             let _, served_hops, _, _ = result in
-             Obs.Trace.set_int "msgs" (served_hops + 1));
+          (match round with
+          | Alone ->
+            let _, served_hops, _, _ = result in
+            Obs.Trace.set_int "msgs" (served_hops + 1);
+            charge (served_hops + 1)
+          | Batched _ -> ());
           result))
     routes
-
-let serve_all t ~from ~effective routes =
-  serve_routes t ~effective ~batched:false routes ~contact:(fun peer ~hops ->
-      contact_peer t ~from ~peer ~legs:(hops + 1))
 
 let recall_bounds = Array.init 21 (fun i -> float_of_int i /. 20.0)
 let h_recall = Obs.Metrics.histogram ~bounds:recall_bounds "system.query.recall"
@@ -898,32 +941,27 @@ let publish t ~from ?partition range =
       Obs.Trace.set_int "hi" (Range.hi range);
       tick_faults t;
       let ids = traced_identifiers t range in
-      let routes = route_all t ~from ids in
+      let routes = List.map (route_one t ~from) ids in
       (* Each owner store is one retried contact across the plane; an owner
          that never answers simply misses this publication — unless hinted
          handoff is on, in which case the tuple parks at the first live
          successor instead. *)
+      let hinted = t.config.Config.hinted_handoff in
       let reached =
-        match (t.faults, t.config.Config.hinted_handoff) with
+        match (t.faults, hinted) with
         | None, false -> routes
-        | Some _, false ->
-          List.filter
-            (fun (identifier, owner, hops) ->
-              let home, _, _ = resolve_home t ~identifier ~owner in
-              contact_peer t ~from ~peer:home ~legs:(hops + 1))
-            routes
-        | _, true ->
+        | _ ->
           List.filter
             (fun (identifier, owner, hops) ->
               let home, _, _ = resolve_home t ~identifier ~owner in
               (* Retries first (dead peers under a plane still cost their
-                 timeout), then liveness: a fail_peer'ed home answers the
-                 plane but must not keep the only copy. *)
+                 timeout), then, with hints on, liveness: a fail_peer'ed
+                 home answers the plane but must not keep the only copy. *)
               let ok =
                 contact_peer t ~from ~peer:home ~legs:(hops + 1)
-                && responsive t home
+                && ((not hinted) || responsive t home)
               in
-              if not ok then
+              if hinted && not ok then
                 park_hint t ~from ~identifier ~hops
                   { Store.range; partition };
               ok)
@@ -938,11 +976,9 @@ let publish t ~from ?partition range =
       stats)
 
 (* Everything downstream of the owners' replies — best-reply selection,
-   cache-on-inexact write-back, padding feedback, metrics — shared verbatim
-   by the single-query and batched paths. [messages] is the overlay traffic
-   this query is charged for: Σ(hops+1) over its lookups when standalone,
-   only the newly-caused traffic inside a batch. *)
-let finish_query_untraced t ~range ~effective ~ids ~routes ~served ~messages =
+   cache-on-inexact write-back, padding feedback, metrics. [messages] is
+   the overlay traffic the query's round charged it. *)
+let assemble t ~range ~effective ~ids ~routes ~served ~messages =
   let replies = List.filter_map (fun (_, _, reply, _) -> reply) served in
   let responders =
     List.fold_left
@@ -1016,132 +1052,73 @@ let finish_query_untraced t ~range ~effective ~ids ~routes ~served ~messages =
     degraded;
   }
 
-let finish_query t ~range ~effective ~ids ~routes ~served ~messages =
-  let result =
-    Obs.Trace.with_span "assemble" (fun () ->
-        finish_query_untraced t ~range ~effective ~ids ~routes ~served ~messages)
-  in
-  (* Query-level verdicts go on the enclosing "query" span (the caller
-     always opens one), where bin/trace.exe reads them back: the
-     "messages" attribute is what the span-level "msgs" attribution must
-     sum to. *)
-  Obs.Trace.set_int "messages" result.Query_result.stats.Query_result.messages;
-  Obs.Trace.set_float "recall" result.Query_result.recall;
-  Obs.Trace.set_bool "degraded" result.Query_result.degraded;
-  Obs.Trace.set_int "responders" result.Query_result.responders;
-  Obs.Trace.set_bool "matched" (Option.is_some result.Query_result.matched);
-  Obs.Trace.set_bool "cached" result.Query_result.cached;
-  result
-
-let query t ~from range =
+(* The per-query body of the §4 lookup protocol, shared by [query] and
+   [query_batch]: pad the range, hash it to its l identifiers, route each
+   to its owner, serve, and assemble the best reply. [round] decides only
+   how lookups and contacts are made and what the query is charged. *)
+let run_query t round ~from range =
   Obs.Trace.with_span "query" (fun () ->
       Obs.Trace.set_string "from" (Peer.name from);
       Obs.Trace.set_int "lo" (Range.lo range);
       Obs.Trace.set_int "hi" (Range.hi range);
+      (match round with
+      | Alone -> ()
+      | Batched { index; _ } ->
+        Obs.Trace.set_int "batch_index" index;
+        Obs.Metrics.incr m_batch_queries);
       tick_faults t;
       migrate_tick t;
       let effective =
         Padding.apply t.padding range ~domain:t.config.Config.domain
       in
       let ids = traced_identifiers t effective in
-      let routes = route_all t ~from ids in
+      let messages = ref 0 in
+      let charge n = messages := !messages + n in
+      let routes = List.map (route_in t round ~from ~charge) ids in
       (* Each serving peer replies with its best local candidate; identifiers
          whose owner failed with no replica to fail over to — or whose contact
          ran out its retry budget — go unanswered. *)
-      let served = serve_all t ~from ~effective routes in
-      let messages =
-        List.fold_left (fun acc (_, h, _, _) -> acc + h + 1) 0 served
+      let served = serve_routes t round ~from ~charge ~effective routes in
+      let result =
+        Obs.Trace.with_span "assemble" (fun () ->
+            assemble t ~range ~effective ~ids ~routes ~served
+              ~messages:!messages)
       in
-      finish_query t ~range ~effective ~ids ~routes ~served ~messages)
+      (* Query-level verdicts go on the "query" span, where bin/trace.exe
+         reads them back: the "messages" attribute is what the span-level
+         "msgs" attribution must sum to. *)
+      Obs.Trace.set_int "messages"
+        result.Query_result.stats.Query_result.messages;
+      Obs.Trace.set_float "recall" result.Query_result.recall;
+      Obs.Trace.set_bool "degraded" result.Query_result.degraded;
+      Obs.Trace.set_int "responders" result.Query_result.responders;
+      Obs.Trace.set_bool "matched" (Option.is_some result.Query_result.matched);
+      Obs.Trace.set_bool "cached" result.Query_result.cached;
+      result)
 
-let m_batches = Obs.Metrics.counter "system.batch.batches"
-let m_batch_queries = Obs.Metrics.counter "system.batch.queries"
-let m_batch_id_hits = Obs.Metrics.counter "system.batch.identifier_hits"
-let m_batch_coalesced = Obs.Metrics.counter "system.batch.coalesced_contacts"
+let query t ~from range = run_query t Alone ~from range
 
 let query_batch t ~from ranges =
   match ranges with
   | [] -> []
   | [ range ] ->
-    (* A batch of one takes the single-query path by construction, so it
-       is bit-identical to [query]. *)
+    (* A batch of one runs in the memo-free round, so it is bit-identical
+       to [query]. *)
     [ query t ~from range ]
   | _ :: _ :: _ ->
     Obs.Trace.with_span "batch" (fun () ->
         Obs.Trace.set_int "size" (List.length ranges);
         Obs.Metrics.incr m_batches;
-        (* Shared state of this batch round: node addresses learned by earlier
-           finger walks, resolved identifier routes, and the outcome of each
-           serving-peer contact (a batch is one message round per peer — later
-           identifiers served by an already-contacted peer ride the same
-           request/reply pair for free). Memos remember the span that paid
-           for the shared work, so later queries' trace events can point
-           back at it instead of re-recording the cost. *)
-        let route_cache = Routing.new_cache t.routing in
-        let id_memo = Hashtbl.create 32 in
-        let contact_memo = Hashtbl.create 32 in
-        let here () = Option.value (Obs.Trace.current_id ()) ~default:0 in
+        let shared =
+          {
+            route_cache = Routing.new_cache t.routing;
+            routed = Hashtbl.create 32;
+            contacted = Hashtbl.create 32;
+          }
+        in
         List.mapi
           (fun index range ->
-            Obs.Trace.with_span "query" (fun () ->
-                Obs.Trace.set_string "from" (Peer.name from);
-                Obs.Trace.set_int "lo" (Range.lo range);
-                Obs.Trace.set_int "hi" (Range.hi range);
-                Obs.Trace.set_int "batch_index" index;
-                tick_faults t;
-                migrate_tick t;
-                Obs.Metrics.incr m_batch_queries;
-                let effective =
-                  Padding.apply t.padding range ~domain:t.config.Config.domain
-                in
-                let ids = traced_identifiers t effective in
-                let new_msgs = ref 0 in
-                let routes =
-                  List.map
-                    (fun identifier ->
-                      match Hashtbl.find_opt id_memo identifier with
-                      | Some (owner, hops, resolved_in) ->
-                        Obs.Metrics.incr m_batch_id_hits;
-                        Obs.Trace.event_ii "batch.id_memo_hit" "identifier"
-                          identifier "resolved_in" resolved_in;
-                        (identifier, owner, hops)
-                      | None ->
-                        Obs.Trace.with_span "route" (fun () ->
-                            Obs.Trace.set_int "identifier" identifier;
-                            let owner_pos, hops =
-                              Routing.lookup_via t.routing route_cache
-                                ~from:(Peer.id from) ~key:identifier
-                            in
-                            let owner = peer_by_id t owner_pos in
-                            Hashtbl.replace id_memo identifier
-                              (owner, hops, here ());
-                            new_msgs := !new_msgs + hops;
-                            Obs.Trace.set_int "hops" hops;
-                            Obs.Trace.set_int "msgs" hops;
-                            (identifier, owner, hops)))
-                    ids
-                in
-                let contact peer ~hops =
-                  match Hashtbl.find_opt contact_memo (Peer.id peer) with
-                  | Some (ok, first_in) ->
-                    Obs.Metrics.incr m_batch_coalesced;
-                    Obs.Trace.event_ii "batch.contact_coalesced" "peer"
-                      (Peer.id peer) "first_in" first_in;
-                    ok
-                  | None ->
-                    let ok = contact_peer t ~from ~peer ~legs:(hops + 1) in
-                    Hashtbl.replace contact_memo (Peer.id peer) (ok, here ());
-                    (* One request plus one reply per distinct peer per
-                       round. *)
-                    new_msgs := !new_msgs + 2;
-                    Obs.Trace.event_ii "contact" "peer" (Peer.id peer) "msgs" 2;
-                    ok
-                in
-                let served =
-                  serve_routes t ~contact ~effective ~batched:true routes
-                in
-                finish_query t ~range ~effective ~ids ~routes ~served
-                  ~messages:!new_msgs))
+            run_query t (Batched { shared; index }) ~from range)
           ranges)
 
 (* Whole-system consistency audit, read-only and PRNG-free. Returns one

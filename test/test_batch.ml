@@ -21,32 +21,77 @@ let workload =
     mk 700 900; mk 100 200; mk 320 360; mk 0 50; mk 550 600;
   ]
 
+(* Every balancing point × both routing substrates × hinted handoff off
+   and on. Replication and migration are tuned hot enough (hot at 3
+   lookups, a migration round every 4 queries) to act within the small
+   workload above. *)
+let config_lattice =
+  let replicate =
+    { Config.r = 2; hot = Balance.Tracker.Absolute 3; window = 64 }
+  in
+  let migrate =
+    { Config.default_migrate with check_every = 4; min_share = 2 }
+  in
+  let balancing =
+    [
+      ("none", Config.No_balancing);
+      ("replicate", Config.Replicate replicate);
+      ("migrate", Config.Migrate migrate);
+      ("both", Config.Replicate_and_migrate { replicate; migrate });
+    ]
+  and substrates =
+    [
+      ("chord", Config.Chord);
+      ("learned", Config.Learned Config.default_learned);
+    ]
+  in
+  List.concat_map
+    (fun (b, balancing) ->
+      List.concat_map
+        (fun (s, substrate) ->
+          List.map
+            (fun hinted ->
+              ( Printf.sprintf "%s/%s/hints=%b" b s hinted,
+                Config.default
+                |> Config.with_balancing balancing
+                |> Config.with_substrate substrate
+                |> Config.with_hinted_handoff hinted ))
+            [ false; true ])
+        substrates)
+    balancing
+
 let seed_publishes sys =
   let from = Sys_.peer_by_name sys "peer-0" in
   List.iter
     (fun r -> ignore (Sys_.publish sys ~from r : Query_result.lookup_stats))
     [ mk 100 200; mk 380 470; mk 0 60; mk 650 950 ]
 
-(* A batch of one must take the single-query path verbatim: same result
-   record, same stored state afterwards. *)
+(* A batch of one must run exactly as a standalone query: same result
+   record, same stored state afterwards, at every lattice point. *)
 let batch_of_one_bit_identical () =
-  let a = fresh_system () and b = fresh_system () in
-  seed_publishes a;
-  seed_publishes b;
   List.iter
-    (fun r ->
-      let single = Sys_.query a ~from:(Sys_.peer_by_name a "peer-5") r in
-      match Sys_.query_batch b ~from:(Sys_.peer_by_name b "peer-5") [ r ] with
-      | [ batched ] ->
-        Alcotest.(check bool)
-          (Printf.sprintf "[%d,%d] bit-identical" (Range.lo r) (Range.hi r))
-          true (single = batched)
-      | results ->
-        Alcotest.failf "batch of one returned %d results"
-          (List.length results))
-    workload;
-  Alcotest.(check int) "same stored state" (Sys_.total_entries a)
-    (Sys_.total_entries b)
+    (fun (point, config) ->
+      let a = fresh_system ~config () and b = fresh_system ~config () in
+      seed_publishes a;
+      seed_publishes b;
+      List.iter
+        (fun r ->
+          let single = Sys_.query a ~from:(Sys_.peer_by_name a "peer-5") r in
+          match
+            Sys_.query_batch b ~from:(Sys_.peer_by_name b "peer-5") [ r ]
+          with
+          | [ batched ] ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: [%d,%d] bit-identical" point (Range.lo r)
+                 (Range.hi r))
+              true (single = batched)
+          | results ->
+            Alcotest.failf "%s: batch of one returned %d results" point
+              (List.length results))
+        workload;
+      Alcotest.(check int) (point ^ ": same stored state")
+        (Sys_.total_entries a) (Sys_.total_entries b))
+    config_lattice
 
 let batch_empty () =
   let s = fresh_system () in
@@ -57,40 +102,47 @@ let batch_empty () =
    per-query matches, scores, recall and cache decisions are equal to the
    sequential run on an identically-seeded system; only messages drop. *)
 let batch_matches_unbatched_fault_free () =
-  let a = fresh_system () and b = fresh_system () in
-  seed_publishes a;
-  seed_publishes b;
-  let singles =
-    List.map (fun r -> Sys_.query a ~from:(Sys_.peer_by_name a "peer-5") r)
-      workload
-  in
-  let batched =
-    Sys_.query_batch b ~from:(Sys_.peer_by_name b "peer-5") workload
-  in
-  Alcotest.(check int) "one result per query" (List.length workload)
-    (List.length batched);
-  List.iteri
-    (fun i (s, b) ->
-      let tag fmt = Printf.sprintf "query %d: %s" i fmt in
-      Alcotest.(check bool) (tag "same match") true
-        (s.Query_result.matched = b.Query_result.matched);
-      Alcotest.(check (float 0.0)) (tag "same similarity")
-        s.Query_result.similarity b.Query_result.similarity;
-      Alcotest.(check (float 0.0)) (tag "same recall") s.Query_result.recall
-        b.Query_result.recall;
-      Alcotest.(check bool) (tag "same cache decision") s.Query_result.cached
-        b.Query_result.cached;
-      Alcotest.(check (list int)) (tag "same identifiers")
-        s.Query_result.stats.Query_result.identifiers
-        b.Query_result.stats.Query_result.identifiers;
-      Alcotest.(check int) (tag "all owners answered")
-        s.Query_result.responders b.Query_result.responders)
-    (List.combine singles batched);
-  let total r = List.fold_left (fun acc q -> acc + Query_result.messages q) 0 r in
-  Alcotest.(check bool) "batch spends strictly fewer messages" true
-    (total batched < total singles);
-  Alcotest.(check int) "same stored state" (Sys_.total_entries a)
-    (Sys_.total_entries b)
+  List.iter
+    (fun (point, config) ->
+      let a = fresh_system ~config () and b = fresh_system ~config () in
+      seed_publishes a;
+      seed_publishes b;
+      let singles =
+        List.map
+          (fun r -> Sys_.query a ~from:(Sys_.peer_by_name a "peer-5") r)
+          workload
+      in
+      let batched =
+        Sys_.query_batch b ~from:(Sys_.peer_by_name b "peer-5") workload
+      in
+      Alcotest.(check int) (point ^ ": one result per query")
+        (List.length workload) (List.length batched);
+      List.iteri
+        (fun i (s, b) ->
+          let tag fmt = Printf.sprintf "%s: query %d: %s" point i fmt in
+          Alcotest.(check bool) (tag "same match") true
+            (s.Query_result.matched = b.Query_result.matched);
+          Alcotest.(check (float 0.0)) (tag "same similarity")
+            s.Query_result.similarity b.Query_result.similarity;
+          Alcotest.(check (float 0.0)) (tag "same recall")
+            s.Query_result.recall b.Query_result.recall;
+          Alcotest.(check bool) (tag "same cache decision")
+            s.Query_result.cached b.Query_result.cached;
+          Alcotest.(check (list int)) (tag "same identifiers")
+            s.Query_result.stats.Query_result.identifiers
+            b.Query_result.stats.Query_result.identifiers;
+          Alcotest.(check int) (tag "all owners answered")
+            s.Query_result.responders b.Query_result.responders)
+        (List.combine singles batched);
+      let total r =
+        List.fold_left (fun acc q -> acc + Query_result.messages q) 0 r
+      in
+      Alcotest.(check bool) (point ^ ": batch spends strictly fewer messages")
+        true
+        (total batched < total singles);
+      Alcotest.(check int) (point ^ ": same stored state")
+        (Sys_.total_entries a) (Sys_.total_entries b))
+    config_lattice
 
 (* A duplicated range inside a batch replays the first occurrence's routes
    from the identifier memo and reuses its owner contacts, so the repeat

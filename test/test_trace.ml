@@ -53,17 +53,10 @@ let descendants root =
 (* Sum of [msgs] attributions in a query's subtree — the quantity
    trace.exe checks against the query span's [messages] attribute. *)
 let attributed root =
-  let event_msgs s =
-    List.fold_left
-      (fun acc (_, _, attrs) ->
-        acc + Option.value (attr_int "msgs" attrs) ~default:0)
-      0 (T.span_events s)
-  in
-  List.fold_left
-    (fun acc s ->
-      acc + event_msgs s
-      + Option.value (attr_int "msgs" (T.span_attrs s)) ~default:0)
-    (event_msgs root) (descendants root)
+  let module Tree = Obs.Span_tree in
+  let spans = List.map Tree.of_recorded (T.spans ()) in
+  Tree.attributed_msgs (Tree.children_of spans)
+    (List.find (fun s -> s.Tree.id = T.span_id root) spans)
 
 let check_conservation label query_span =
   match attr_int "messages" (T.span_attrs query_span) with
@@ -364,6 +357,64 @@ let faults_retry_trace () =
       | _ -> Alcotest.fail "backoff lacks a wait_ms attribute")
     backoffs
 
+(* The library conservation check (the one trace.exe runs) over both
+   round policies on a system shaped like the churn-batch benchmark:
+   replicate + migrate, hinted handoff, the learned substrate and a lossy
+   fault plane, with a peer failing and recovering between rounds. *)
+let conservation_both_rounds () =
+  let module Tree = Obs.Span_tree in
+  let replicate =
+    { Config.r = 2; hot = Balance.Tracker.Absolute 3; window = 64 }
+  in
+  let migrate =
+    { Config.default_migrate with check_every = 8; min_share = 2 }
+  in
+  let config =
+    Config.default
+    |> Config.with_balancing
+         (Config.Replicate_and_migrate { replicate; migrate })
+    |> Config.with_hinted_handoff true
+    |> Config.with_substrate (Config.Learned Config.default_learned)
+    |> Config.with_faults
+         {
+           Config.spec =
+             { Faults.Plane.no_faults with Faults.Plane.drop = 0.1 };
+           retry = Faults.Retry.default;
+         }
+  in
+  let system = Sys_.create ~config ~seed:11L ~n_peers:24 () in
+  let asker = Sys_.peer_by_name system "peer-4" in
+  let victim = Sys_.peer_by_name system "peer-9" in
+  let range i =
+    let lo = i * 37 mod 900 in
+    Range.make ~lo ~hi:(lo + 60)
+  in
+  for round = 0 to 5 do
+    ignore
+      (Sys_.publish system ~from:asker (range round)
+        : Query_result.lookup_stats);
+    if round = 2 then Sys_.fail_peer system victim;
+    ignore (Sys_.query system ~from:asker (range round) : Query_result.t);
+    ignore
+      (Sys_.query_batch system ~from:asker
+         (List.init 8 (fun i -> range (round + i)))
+        : Query_result.t list);
+    if round = 4 then Sys_.recover_peer system victim
+  done;
+  let spans = List.map Tree.of_recorded (T.spans ()) in
+  let batched, alone =
+    List.partition
+      (fun s -> attr_int "batch_index" s.Tree.attrs <> None)
+      (List.filter (fun s -> s.Tree.name = "query") spans)
+  in
+  Alcotest.(check int) "standalone query spans" 6 (List.length alone);
+  Alcotest.(check int) "batched query spans" 48 (List.length batched);
+  let report = Tree.conservation (Tree.children_of spans) spans in
+  Alcotest.(check int) "every query checked" 54 report.Tree.queries;
+  Alcotest.(check bool) "messages were charged" true (report.Tree.messages > 0);
+  Alcotest.(check int) "no conservation mismatches" 0
+    (List.length report.Tree.mismatches)
+
 (* Tracing must not consume PRNG draws: a traced run and an untraced run
    of the same seeded system must produce identical results. *)
 let tracing_does_not_perturb () =
@@ -414,6 +465,8 @@ let suite =
       (with_tracing batch_trace_memo_refs);
     Alcotest.test_case "faults trace records retries" `Quick
       (with_tracing faults_retry_trace);
+    Alcotest.test_case "conservation across both round policies" `Quick
+      (with_tracing conservation_both_rounds);
     Alcotest.test_case "tracing never consumes PRNG draws" `Quick
       (with_tracing tracing_does_not_perturb);
     Alcotest.test_case "run-twice determinism" `Quick

@@ -82,7 +82,8 @@ val tick :
     balancing round runs over [peers] (physical ids, creation order —
     the deterministic tie-break order), consulting [responsive] for
     liveness, [positions] for a peer's ring positions, [predecessor] for
-    initial segment bounds, and [scores] for windowed identifier scores.
+    initial segment bounds, and [scores] for windowed (identifier,
+    score) pairs, in any order: the planner only sums each half's scores.
     Returns the move planned this round, which the caller must execute
     (copy the slice's buckets to [move.target]); the planner has already
     recorded the new slice ownership. *)

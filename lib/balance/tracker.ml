@@ -97,17 +97,23 @@ let total_queries t = t.total
 let peer_load t peer = lookup_count t.peer_loads peer
 let peer_entries t peer = lookup_count t.peer_entries peer
 
-(* All identifiers seen in either window, with their combined scores. *)
-let scored t =
-  let acc = Hashtbl.create (Hashtbl.length t.current + Hashtbl.length t.previous) in
-  let note id _ = if not (Hashtbl.mem acc id) then Hashtbl.replace acc id (hot_score t id) in
-  Hashtbl.iter note t.current;
-  Hashtbl.iter note t.previous;
-  Hashtbl.fold (fun id score l -> (id, score) :: l) acc []
-  |> List.sort (fun (ida, sa) (idb, sb) ->
-         if sa <> sb then Int.compare sb sa else Int.compare ida idb)
+(* All identifiers seen in either window, with their combined scores, in
+   no particular order: each identifier once, from [current] or else
+   from [previous]. *)
+let windowed_scores t =
+  let from_current =
+    Hashtbl.fold (fun id _ l -> (id, hot_score t id) :: l) t.current []
+  in
+  Hashtbl.fold
+    (fun id n l -> if Hashtbl.mem t.current id then l else (id, n) :: l)
+    t.previous from_current
 
-let windowed_scores t = scored t
+(* The same pairs in rank order (score descending, identifier ascending). *)
+let scored t =
+  List.sort
+    (fun (ida, sa) (idb, sb) ->
+      if sa <> sb then Int.compare sb sa else Int.compare ida idb)
+    (windowed_scores t)
 
 let top_k_set t k =
   match t.hot_cache with

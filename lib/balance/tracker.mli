@@ -51,10 +51,10 @@ val hot_score : t -> int -> int
 (** The identifier's count over the current plus previous window. *)
 
 val windowed_scores : t -> (int * int) list
-(** Every identifier seen in either window with its combined score,
-    sorted by score descending (ties toward smaller identifiers) — the
-    same ranking {!is_hot} judges [Top_k] membership by. Consumed by the
-    migration planner to decide which half of a range slice is hotter. *)
+(** Every identifier seen in either window with its combined score, each
+    once, in {e no particular order}. Consumed by the migration planner,
+    which only sums the scores of each half of a range slice to decide
+    which is hotter, so it needs no sort. *)
 
 val is_hot : t -> int -> bool
 

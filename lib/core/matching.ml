@@ -25,10 +25,15 @@ let better a b =
   then a
   else b
 
+(* One pass: the first positive-scoring entry seeds the fold, and every
+   later positive one meets the running best via [better], left to right. *)
 let best matching ~query entries =
-  let scored = List.map (score matching ~query) entries in
-  match List.filter (fun s -> s.score > 0.0) scored with
-  | [] -> None
-  | first :: rest -> Some (List.fold_left better first rest)
+  List.fold_left
+    (fun acc entry ->
+      let s = score matching ~query entry in
+      if s.score > 0.0 then
+        match acc with None -> Some s | Some b -> Some (better b s)
+      else acc)
+    None entries
 
 let is_exact ~query scored = Range.equal scored.entry.Store.range query

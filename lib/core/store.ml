@@ -90,13 +90,16 @@ let evict_one t =
     t.evictions <- t.evictions + 1
 
 let insert t ~identifier entry =
-  if not (mem t ~identifier ~range:entry.range) then begin
+  if mem t ~identifier ~range:entry.range then false
+  else begin
     while t.entries >= capacity_of t.policy do
       evict_one t
     done;
+    (* Re-read the bucket: the victim may have sat in this very one. *)
     let stamped = { entry; stamp = tick t } in
     Hashtbl.replace t.buckets identifier (stamped :: raw_bucket t identifier);
-    t.entries <- t.entries + 1
+    t.entries <- t.entries + 1;
+    true
   end
 
 let identifiers t =

@@ -30,11 +30,12 @@ val create : ?policy:policy -> unit -> t
 
 val policy : t -> policy
 
-val insert : t -> identifier:Chord.Id.t -> entry -> unit
+val insert : t -> identifier:Chord.Id.t -> entry -> bool
 (** Idempotent per (identifier, range): re-inserting an already-present
     range leaves the bucket unchanged (the paper caches a range only "if it
-    is not already stored"). May trigger an eviction first when the store
-    is at capacity. *)
+    is not already stored") and returns [false]; [true] when the entry was
+    added. May trigger an eviction first when the store is at capacity —
+    only on an actual insertion. *)
 
 val bucket : t -> identifier:Chord.Id.t -> entry list
 (** Entries under one identifier; empty if none. Under [Lru] this counts as

@@ -16,6 +16,7 @@ type t = {
   peers : (int, Peer.t) Hashtbl.t; (* keyed by ring position *)
   by_name : (string, Peer.t) Hashtbl.t;
   peer_list : Peer.t array;
+  peer_ids : int list; (* [Peer.id] of [peer_list], same order *)
   padding : Padding.t;
   tracker : Balance.Tracker.t;
   replication : replication_state option;
@@ -137,6 +138,7 @@ let create_with_peers ?(config = Config.default) ~seed names =
     peers;
     by_name;
     peer_list;
+    peer_ids = Array.to_list (Array.map Peer.id peer_list);
     padding = Padding.create config.Config.padding;
     tracker;
     replication;
@@ -231,9 +233,7 @@ let fail_peer t peer =
 (* [recover_peer] is defined below [repair], which recovery triggers
    when hinted handoff is on. *)
 
-let load_imbalance t =
-  Balance.Tracker.load_imbalance t.tracker
-    ~peers:(Array.to_list (Array.map Peer.id t.peer_list))
+let load_imbalance t = Balance.Tracker.load_imbalance t.tracker ~peers:t.peer_ids
 
 let replicated_buckets t =
   match t.replication with
@@ -354,13 +354,8 @@ let s_migrations = Obs.Series.counter ~labels:[ "peer" ] "balance.migrations"
 (* Store [entry] in [peer]'s bucket unless an equal range is already
    there, tallying the stored entry; true when it inserted. *)
 let insert_tracked t peer ~identifier entry =
-  let fresh =
-    not (Store.mem (Peer.store peer) ~identifier ~range:entry.Store.range)
-  in
-  if fresh then begin
-    Store.insert (Peer.store peer) ~identifier entry;
-    Balance.Tracker.record_entry t.tracker ~peer:(Peer.id peer)
-  end;
+  let fresh = Store.insert (Peer.store peer) ~identifier entry in
+  if fresh then Balance.Tracker.record_entry t.tracker ~peer:(Peer.id peer);
   fresh
 
 (* With migration on: the routed ring position, the peer now responsible
@@ -434,7 +429,7 @@ let migrate_tick t =
   | Some mg -> (
     match
       Balance.Migration.tick mg
-        ~peers:(Array.to_list (Array.map Peer.id t.peer_list))
+        ~peers:t.peer_ids
         ~responsive:(fun pid -> responsive t (peer_by_id t pid))
         ~positions:(fun pid ->
           Balance.Virtual_nodes.positions

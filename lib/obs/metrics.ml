@@ -215,8 +215,14 @@ let snapshot () =
   let gauges =
     pick (function Gauge g -> Some (float_or_null g.value) | _ -> None)
   in
+  (* A wall gauge belongs to the run that sets it (a throughput reading
+     of one bench section), so one never set this run is left out rather
+     than shown as [null] in every other section's snapshot. *)
   let wall_gauges =
-    pick (function Wall_gauge g -> Some (float_or_null g.value) | _ -> None)
+    pick (function
+      | Wall_gauge g when not (Float.is_nan g.value) ->
+        Some (float_or_null g.value)
+      | _ -> None)
   in
   let histograms =
     pick (function

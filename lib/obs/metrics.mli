@@ -107,6 +107,7 @@ val snapshot : unit -> Json.t
     [{"counters": {..}, "gauges": {..}, "histograms": {..},
       "wall": {"timers": {..}, "gauges": {..}}}],
     with metric names sorted for deterministic output. Histograms render
-    count, mean, min, max and p50/p90/p99; unset gauges render as [null].
+    count, mean, min, max and p50/p90/p99; unset gauges render as [null],
+    while unset {!wall_gauge}s are omitted.
     Everything under ["wall"] (timers, {!wall_gauge}s) carries real-time
     readings and is excluded from baseline bit-identity comparisons. *)

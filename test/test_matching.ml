@@ -69,6 +69,54 @@ let best_is_max_score () =
       candidates
   | None -> Alcotest.fail "must match"
 
+(* The reference [best]: score every entry, drop the zero scores, fold
+   [better] left to right from the first survivor. *)
+let reference_best matching ~query entries =
+  let scored = List.map (M.score matching ~query) entries in
+  match List.filter (fun s -> s.M.score > 0.0) scored with
+  | [] -> None
+  | first :: rest -> Some (List.fold_left M.better first rest)
+
+(* Ranges drawn from a tiny domain, so buckets are full of equal scores,
+   equal cardinalities, exact duplicates and disjoint (zero-score)
+   entries — every tie-break path. *)
+let bucket_gen =
+  QCheck.Gen.(
+    let range =
+      let* lo = int_range 0 24 in
+      let* width = int_range 0 6 in
+      return (lo, lo + width)
+    in
+    pair range (list_size (int_range 0 12) range))
+
+let arb_bucket =
+  QCheck.make
+    ~print:(fun ((qlo, qhi), rs) ->
+      Printf.sprintf "query [%d,%d] bucket %s" qlo qhi
+        (String.concat ";"
+           (List.map (fun (lo, hi) -> Printf.sprintf "[%d,%d]" lo hi) rs)))
+    bucket_gen
+
+let best_matches_reference matching =
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "single-pass best equals the reference (%s)"
+         (match matching with
+         | P2prange.Config.Jaccard_match -> "jaccard"
+         | P2prange.Config.Containment_match -> "containment"))
+    ~count:500 arb_bucket
+    (fun ((qlo, qhi), rs) ->
+      let query = mk qlo qhi in
+      (* Fresh records, so equal ranges are still distinguishable by
+         identity: the winner must be the very same entry. *)
+      let entries = List.map (fun (lo, hi) -> entry lo hi) rs in
+      match
+        (M.best matching ~query entries, reference_best matching ~query entries)
+      with
+      | None, None -> true
+      | Some a, Some b -> a.M.entry == b.M.entry && a.M.score = b.M.score
+      | Some _, None | None, Some _ -> false)
+
 let suite =
   [
     Alcotest.test_case "scoring computes both measures" `Quick scores_both_measures;
@@ -80,4 +128,8 @@ let suite =
       tie_breaks_toward_smaller;
     Alcotest.test_case "exactness" `Quick exactness;
     Alcotest.test_case "best maximizes the score" `Quick best_is_max_score;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 28 |])
+      (best_matches_reference P2prange.Config.Jaccard_match);
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 28 |])
+      (best_matches_reference P2prange.Config.Containment_match);
   ]

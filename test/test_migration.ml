@@ -163,6 +163,71 @@ let planner_unit () =
     (Migration.holder mg ~position:200 ~identifier:130);
   Alcotest.(check int) "two live slices" 2 (Migration.slice_count mg)
 
+(* The planner only sums each half's scores, so the order of the
+   [~scores] list — and [Tracker.windowed_scores] promises none — must
+   not change the planned move. *)
+let scores_order_independent () =
+  let plan scores =
+    let mg =
+      Migration.create
+        { Migration.check_every = 4; overload = 1.5; cooldown = 1; min_share = 4 }
+    in
+    let predecessor = function
+      | 100 -> 300
+      | 200 -> 100
+      | 300 -> 200
+      | _ -> Alcotest.fail "unknown position"
+    in
+    for _ = 1 to 8 do
+      Migration.note_serve mg ~position:200 ~identifier:160 ~peer:200
+    done;
+    Migration.note_serve mg ~position:100 ~identifier:50 ~peer:100;
+    Migration.note_serve mg ~position:300 ~identifier:250 ~peer:300;
+    let move = ref None in
+    for _ = 1 to 4 do
+      match
+        Migration.tick mg ~peers:[ 100; 200; 300 ]
+          ~responsive:(fun _ -> true)
+          ~positions:(fun p -> [ p ])
+          ~predecessor
+          ~scores:(fun () -> scores)
+      with
+      | Some mv -> move := Some mv
+      | None -> ()
+    done;
+    match !move with
+    | Some mv ->
+      Printf.sprintf "%d -> %d (%d, %d]" mv.Migration.source
+        mv.Migration.target mv.Migration.lo mv.Migration.hi
+    | None -> Alcotest.fail "expected a migration"
+  in
+  (* (100, 150] scores 5 and (150, 200] scores 6: the upper half moves,
+     but only by one point, so a dropped or double-counted pair shows. *)
+  let scores = [ (120, 3); (130, 2); (160, 4); (170, 1); (190, 1); (250, 9) ] in
+  let expected = plan scores in
+  Alcotest.(check string) "upper half moves" "200 -> 100 (150, 200]" expected;
+  let shuffled =
+    let rng = Prng.Splitmix.create 11L in
+    List.map (fun p -> (Prng.Splitmix.int rng 1_000, p)) scores
+    |> List.sort compare |> List.map snd
+  in
+  List.iter
+    (fun (label, order) -> Alcotest.(check string) label expected (plan order))
+    [ ("reversed", List.rev scores); ("shuffled", shuffled) ];
+  (* The tracker's windowed pairs (previous window 160 170 190 120,
+     current 160 160 130), in whatever order they come, plan the same
+     move as their sorted form. *)
+  let tracker = Tracker.create ~window:4 (Tracker.Absolute max_int) in
+  List.iter
+    (fun identifier -> Tracker.record_query tracker ~peer:200 ~identifier)
+    [ 120; 120; 130; 160; 160; 170; 190; 120; 160; 160; 130 ];
+  let pairs = Tracker.windowed_scores tracker in
+  Alcotest.(check (list (pair int int))) "each identifier once, combined"
+    [ (120, 1); (130, 1); (160, 3); (170, 1); (190, 1) ]
+    (List.sort compare pairs);
+  Alcotest.(check string) "tracker order" (plan (List.sort compare pairs))
+    (plan pairs)
+
 (* Configs mirroring the balance tests: one identifier per range and
    spread placement, so load concentrates on genuinely hot buckets. *)
 let base_config =
@@ -321,6 +386,52 @@ let holder_crash_falls_back () =
     (r.Query_result.matched <> None);
   Alcotest.(check (float 1e-9)) "exact again" 1.0 r.Query_result.recall
 
+(* A query on the balanced path allocates the same whatever the peer
+   count: nothing on it may walk or copy the peer population (the
+   planner's peer list is built once, at creation). Queries and senders
+   are drawn before measuring, so only [System.query] is counted. *)
+let query_allocation_independent_of_peers () =
+  let config =
+    { Config.default with
+      Config.balancing =
+        Config.Replicate_and_migrate
+          {
+            replicate =
+              { Config.r = 2; hot = Tracker.Absolute 8; window = 1024 };
+            migrate = migrate_spec;
+          };
+    }
+  in
+  let words_per_query n_peers =
+    let sys = Sys_.create ~config ~seed:42L ~n_peers () in
+    let peers = Array.of_list (Sys_.peers sys) in
+    let rng = Prng.Splitmix.create 17L in
+    let stream =
+      Workload.Query_workload.create zipf_shape
+        ~domain:Config.default.Config.domain ~seed:17L
+    in
+    let draw n =
+      Array.init n (fun _ ->
+          let from = peers.(Prng.Splitmix.int rng (Array.length peers)) in
+          (from, Workload.Query_workload.next stream))
+    in
+    let run =
+      Array.iter (fun (from, range) ->
+          ignore (Sys_.query sys ~from range : Query_result.t))
+    in
+    run (draw 400);
+    let measured = draw 400 in
+    let before = Gc.minor_words () in
+    run measured;
+    (Gc.minor_words () -. before) /. 400.0
+  in
+  let small = words_per_query 100 and large = words_per_query 1_000 in
+  if large > 1.2 *. small then
+    Alcotest.failf
+      "minor words per query grow with the peer count: %.0f at 100 peers, \
+       %.0f at 1000"
+      small large
+
 (* Replicate_and_migrate composes: fault-free it stays transparent, both
    mechanisms actually run, and after the hottest peers fail its recall
    floor is no worse than the unbalanced system's. *)
@@ -379,6 +490,8 @@ let suite =
   [
     Alcotest.test_case "spec validation" `Quick spec_validation;
     Alcotest.test_case "planner mechanics" `Quick planner_unit;
+    Alcotest.test_case "planner ignores the order of scores" `Quick
+      scores_order_independent;
     Alcotest.test_case "migration is invisible fault-free" `Quick
       migration_transparent_fault_free;
     Alcotest.test_case "determinism at a fixed seed" `Quick migration_determinism;
@@ -386,6 +499,8 @@ let suite =
       wiring_inert_until_triggered;
     Alcotest.test_case "holder crash falls back cleanly" `Quick
       holder_crash_falls_back;
+    Alcotest.test_case "query allocation independent of the peer count"
+      `Quick query_allocation_independent_of_peers;
     Alcotest.test_case "replicate-and-migrate recall floor" `Quick
       composition_recall_floor;
   ]

@@ -255,6 +255,36 @@ let snapshot_wall_subtree () =
   | None -> ()
   | Some _ -> Alcotest.fail "timers must no longer be a top-level member"
 
+(* A wall gauge nobody set in this run (another bench section's
+   throughput reading) is left out of the snapshot instead of showing as
+   [null]; an unset deterministic gauge still renders as [null], so
+   baseline snapshots keep their shape. *)
+let unset_wall_gauge_omitted () =
+  let wg = M.wall_gauge "test.obs.wall.unset" in
+  ignore (M.gauge "test.obs.plain.unset" : M.gauge);
+  let wall_gauges () =
+    match J.member "wall" (M.snapshot ()) with
+    | Some wall -> (
+      match J.member "gauges" wall with
+      | Some (J.Obj gauges) -> gauges
+      | Some _ | None -> Alcotest.fail "wall lacks a gauges object")
+    | None -> Alcotest.fail "snapshot lacks the wall subtree"
+  in
+  Alcotest.(check bool) "unset wall gauge omitted" false
+    (List.mem_assoc "test.obs.wall.unset" (wall_gauges ()));
+  (match J.member "gauges" (M.snapshot ()) with
+  | Some (J.Obj gauges) ->
+    Alcotest.(check bool) "unset plain gauge still null" true
+      (List.assoc_opt "test.obs.plain.unset" gauges = Some J.Null)
+  | Some _ | None -> Alcotest.fail "snapshot lacks a gauges object");
+  M.set_gauge wg 2.5;
+  Alcotest.(check bool) "set wall gauge shown" true
+    (List.assoc_opt "test.obs.wall.unset" (wall_gauges ()) = Some (J.Float 2.5));
+  (* [reset] unsets it again. *)
+  M.reset ();
+  Alcotest.(check bool) "reset wall gauge omitted" false
+    (List.mem_assoc "test.obs.wall.unset" (wall_gauges ()))
+
 (* Property: any document the emitter can produce — nested fault-section
    objects, gauge [null]s, finite floats, metric-name keys — parses back
    structurally equal, at both indentations. Generated trees mimic the
@@ -477,6 +507,8 @@ let suite =
     Alcotest.test_case "snapshot structure" `Quick (isolated snapshot_structure);
     Alcotest.test_case "wall-clock readings live in the wall subtree" `Quick
       (isolated snapshot_wall_subtree);
+    Alcotest.test_case "unset wall gauges are omitted" `Quick
+      (isolated unset_wall_gauge_omitted);
     Alcotest.test_case "empty histogram snapshot emits nulls" `Quick
       (isolated empty_histogram_snapshot_nulls);
     Alcotest.test_case "infinite observation nulls the statistics" `Quick

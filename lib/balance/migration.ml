@@ -40,16 +40,17 @@ type t = {
   mutable clock : int; (* queries ticked so far *)
   mutable rounds : int; (* planner rounds run so far *)
   mutable migrations : int;
-  (* Serves this round by the physical peer that answered. *)
-  round_peer : (int, int) Hashtbl.t;
+  (* Serves this round by the physical peer that answered. Counters are
+     [int ref] cells, so a bump is one probe. *)
+  round_peer : int ref Chord.Id.Tbl.t;
   (* Serves this round by segment, keyed (position, seg.lo); untouched
      positions use the sentinel key (position, position) for their whole
      interval. Segment lists only change inside [plan], which also resets
      this table, so keys are stable within a round. *)
-  round_seg : (Chord.Id.t * Chord.Id.t, int) Hashtbl.t;
-  states : (Chord.Id.t, position_state) Hashtbl.t;
+  round_seg : int ref Chord.Id.Pair_tbl.t;
+  states : position_state Chord.Id.Tbl.t;
   (* peer -> round index through which it sits out (hysteresis). *)
-  cooling : (int, int) Hashtbl.t;
+  cooling : int Chord.Id.Tbl.t;
 }
 
 let create spec =
@@ -59,28 +60,28 @@ let create spec =
     clock = 0;
     rounds = 0;
     migrations = 0;
-    round_peer = Hashtbl.create 64;
-    round_seg = Hashtbl.create 64;
-    states = Hashtbl.create 16;
-    cooling = Hashtbl.create 16;
+    round_peer = Chord.Id.Tbl.create 64;
+    round_seg = Chord.Id.Pair_tbl.create 64;
+    states = Chord.Id.Tbl.create 16;
+    cooling = Chord.Id.Tbl.create 16;
   }
 
 let migrations t = t.migrations
 let rounds t = t.rounds
 
 let slice_count t =
-  Hashtbl.fold
+  Chord.Id.Tbl.fold
     (fun _ state acc ->
       acc
       + List.length (List.filter (fun s -> s.holder <> state.native) state.segs))
     t.states 0
 
 let split_positions t =
-  Hashtbl.fold (fun position _ acc -> position :: acc) t.states []
+  Chord.Id.Tbl.fold (fun position _ acc -> position :: acc) t.states []
   |> List.sort Int.compare
 
 let segments t ~position =
-  match Hashtbl.find_opt t.states position with
+  match Chord.Id.Tbl.find_opt t.states position with
   | None -> []
   | Some state -> List.map (fun (s : seg) -> (s.lo, s.hi, s.holder)) state.segs
 
@@ -90,31 +91,41 @@ let seg_of state identifier =
     state.segs
 
 let holder t ~position ~identifier =
-  match Hashtbl.find_opt t.states position with
+  match Chord.Id.Tbl.find_opt t.states position with
   | None -> None
   | Some state -> (
     match seg_of state identifier with
     | Some s when s.holder <> state.native -> Some s.holder
     | Some _ | None -> None)
 
-let count table key = Option.value (Hashtbl.find_opt table key) ~default:0
+let peer_count t peer =
+  match Chord.Id.Tbl.find_opt t.round_peer peer with
+  | Some cell -> !cell
+  | None -> 0
 
-let bump table key = Hashtbl.replace table key (1 + count table key)
+let seg_count t key =
+  match Chord.Id.Pair_tbl.find_opt t.round_seg key with
+  | Some cell -> !cell
+  | None -> 0
 
 let note_serve t ~position ~identifier ~peer =
-  bump t.round_peer peer;
+  (match Chord.Id.Tbl.find_opt t.round_peer peer with
+  | Some cell -> incr cell
+  | None -> Chord.Id.Tbl.add t.round_peer peer (ref 1));
   let seg_key =
-    match Hashtbl.find_opt t.states position with
+    match Chord.Id.Tbl.find_opt t.states position with
     | None -> (position, position)
     | Some state -> (
       match seg_of state identifier with
       | Some s -> (position, s.lo)
       | None -> (position, position))
   in
-  bump t.round_seg seg_key
+  match Chord.Id.Pair_tbl.find_opt t.round_seg seg_key with
+  | Some cell -> incr cell
+  | None -> Chord.Id.Pair_tbl.add t.round_seg seg_key (ref 1)
 
 let cooling t peer =
-  match Hashtbl.find_opt t.cooling peer with
+  match Chord.Id.Tbl.find_opt t.cooling peer with
   | Some until -> until >= t.rounds
   | None -> false
 
@@ -123,34 +134,46 @@ let cooling t peer =
    and nothing draws randomness. At most one migration per round. *)
 let plan t ~peers ~responsive ~positions ~predecessor ~scores =
   t.rounds <- t.rounds + 1;
-  let load p = count t.round_peer p in
-  let total = List.fold_left (fun acc p -> acc + load p) 0 peers in
+  let peers = Array.of_list peers in
+  let n = Array.length peers in
+  let loads = Array.map (peer_count t) peers in
+  let total = Array.fold_left ( + ) 0 loads in
   let decision =
-    if total = 0 || peers = [] then None
+    if total = 0 then None
     else begin
-      let mean = float_of_int total /. float_of_int (List.length peers) in
-      let eligible p = responsive p && not (cooling t p) in
+      let mean = float_of_int total /. float_of_int n in
+      (* Exact to fix up front: cooling only changes once the round has
+         decided, and [responsive] is a pure liveness test. *)
+      let eligible =
+        Array.map (fun p -> responsive p && not (cooling t p)) peers
+      in
       (* Overloaded candidates, hottest first (stable, so ties keep the
          caller's creation order). A candidate that cannot shed — none of
          its segments served this round, or all too short to split — is
          skipped rather than starving the round. *)
       let candidates =
-        peers
-        |> List.filter (fun p ->
-               eligible p
-               && load p >= t.spec.min_share
-               && float_of_int (load p) >= t.spec.overload *. mean)
-        |> List.stable_sort (fun a b -> Int.compare (load b) (load a))
+        let overloaded = ref [] in
+        for i = n - 1 downto 0 do
+          if
+            eligible.(i)
+            && loads.(i) >= t.spec.min_share
+            && float_of_int loads.(i) >= t.spec.overload *. mean
+          then overloaded := i :: !overloaded
+        done;
+        List.stable_sort
+          (fun a b -> Int.compare loads.(b) loads.(a))
+          !overloaded
       in
+      (* The first least-loaded eligible peer other than the source. *)
       let target_for source =
-        List.fold_left
-          (fun best p ->
-            if p <> source && eligible p then
-              match best with
-              | Some b when load b <= load p -> best
-              | Some _ | None -> Some p
-            else best)
-          None peers
+        let best = ref (-1) in
+        for i = 0 to n - 1 do
+          if
+            peers.(i) <> source && eligible.(i)
+            && (!best < 0 || loads.(i) < loads.(!best))
+          then best := i
+        done;
+        if !best < 0 then None else Some peers.(!best)
       in
       let attempt source =
         (* The busiest splittable segment the source holds this round —
@@ -159,7 +182,7 @@ let plan t ~peers ~responsive ~positions ~predecessor ~scores =
            are scanned globally (sorted, for deterministic tie-breaks). *)
         let splittable lo hi = Chord.Id.distance_cw ~from:lo ~to_:hi >= 2 in
         let consider best ~position ~key ~lo ~hi =
-          let heat = count t.round_seg (position, key) in
+          let heat = seg_count t (position, key) in
           if heat = 0 || not (splittable lo hi) then best
           else
             match best with
@@ -171,7 +194,7 @@ let plan t ~peers ~responsive ~positions ~predecessor ~scores =
         let best =
           List.fold_left
             (fun best position ->
-              match Hashtbl.find_opt t.states position with
+              match Chord.Id.Tbl.find_opt t.states position with
               | Some _ -> best
               | None ->
                 consider best ~position ~key:position
@@ -180,7 +203,7 @@ let plan t ~peers ~responsive ~positions ~predecessor ~scores =
         in
         (* …then every segment the source holds at any split position. *)
         let best =
-          Hashtbl.fold
+          Chord.Id.Tbl.fold
             (fun position state acc -> (position, state) :: acc)
             t.states []
           |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
@@ -218,7 +241,7 @@ let plan t ~peers ~responsive ~positions ~predecessor ~scores =
               if s_low >= s_high then (a, mid, mid, b) else (mid, b, a, mid)
             in
             let state =
-              match Hashtbl.find_opt t.states position with
+              match Chord.Id.Tbl.find_opt t.states position with
               | Some state -> state
               | None ->
                 let state =
@@ -226,7 +249,7 @@ let plan t ~peers ~responsive ~positions ~predecessor ~scores =
                     segs = [ { lo = a; hi = b; holder = source } ];
                   }
                 in
-                Hashtbl.replace t.states position state;
+                Chord.Id.Tbl.replace t.states position state;
                 state
             in
             state.segs <-
@@ -240,17 +263,18 @@ let plan t ~peers ~responsive ~positions ~predecessor ~scores =
                   else [ s ])
                 state.segs;
             let until = t.rounds + t.spec.cooldown in
-            Hashtbl.replace t.cooling source until;
-            Hashtbl.replace t.cooling target until;
+            Chord.Id.Tbl.replace t.cooling source until;
+            Chord.Id.Tbl.replace t.cooling target until;
             t.migrations <- t.migrations + 1;
             Obs.Series.incr s_planned_moves;
             Some { position; source; target; lo; hi })
       in
-      List.find_map attempt candidates
+      List.find_map (fun i -> attempt peers.(i)) candidates
     end
   in
-  Hashtbl.reset t.round_seg;
-  Hashtbl.reset t.round_peer;
+  (* [clear] keeps the bucket arrays: the next round fills them again. *)
+  Chord.Id.Pair_tbl.clear t.round_seg;
+  Chord.Id.Tbl.clear t.round_peer;
   decision
 
 let tick t ~peers ~responsive ~positions ~predecessor ~scores =

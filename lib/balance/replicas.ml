@@ -39,17 +39,17 @@ let replica_set view ?(alive = fun _ -> true) ?(group = fun id -> id)
       Obs.Trace.set_int "identifier" identifier;
       Obs.Trace.set_int "r" r;
       let owner = view.owner identifier in
-      let taken = Hashtbl.create (r + 1) in
-      Hashtbl.replace taken (group owner) ();
+      let taken = Chord.Id.Tbl.create (r + 1) in
+      Chord.Id.Tbl.replace taken (group owner) ();
       let replicas =
         List.fold_left
           (fun acc node ->
             if List.length acc >= r then acc
             else
               let g = group node in
-              if Hashtbl.mem taken g || not (alive node) then acc
+              if Chord.Id.Tbl.mem taken g || not (alive node) then acc
               else begin
-                Hashtbl.replace taken g ();
+                Chord.Id.Tbl.replace taken g ();
                 node :: acc
               end)
           []

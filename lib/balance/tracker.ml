@@ -7,7 +7,7 @@ type hot_policy = Absolute of int | Top_k of int
    floor cannot beat the live one either. *)
 type cache = {
   rev : int;
-  set : (int, unit) Hashtbl.t;
+  set : unit Chord.Id.Tbl.t;
   floor : (int * int) option;
 }
 
@@ -15,10 +15,11 @@ type t = {
   policy : hot_policy;
   window : int;
   mutable in_window : int; (* lookups recorded into [current] so far *)
-  mutable current : (int, int) Hashtbl.t; (* identifier -> hits, this window *)
-  mutable previous : (int, int) Hashtbl.t; (* last full window *)
-  peer_loads : (int, int) Hashtbl.t; (* peer -> cumulative served lookups *)
-  peer_entries : (int, int) Hashtbl.t; (* peer -> cumulative stored entries *)
+  (* Counters are [int ref] cells, so a bump is one probe. *)
+  mutable current : int ref Chord.Id.Tbl.t; (* identifier -> window hits *)
+  mutable previous : int ref Chord.Id.Tbl.t; (* last full window *)
+  peer_loads : int ref Chord.Id.Tbl.t; (* peer -> cumulative served lookups *)
+  peer_entries : int ref Chord.Id.Tbl.t; (* peer -> cumulative stored entries *)
   mutable total : int;
   (* Top-k hot sets are recomputed lazily; [revision] invalidates. *)
   mutable revision : int;
@@ -36,27 +37,30 @@ let create ?(window = 1024) policy =
     policy;
     window;
     in_window = 0;
-    current = Hashtbl.create 64;
-    previous = Hashtbl.create 64;
-    peer_loads = Hashtbl.create 64;
-    peer_entries = Hashtbl.create 64;
+    current = Chord.Id.Tbl.create 64;
+    previous = Chord.Id.Tbl.create 64;
+    peer_loads = Chord.Id.Tbl.create 64;
+    peer_entries = Chord.Id.Tbl.create 64;
     total = 0;
     revision = 0;
     hot_cache = None;
     recomputations = 0;
   }
 
-let bump table key =
-  Hashtbl.replace table key (1 + Option.value (Hashtbl.find_opt table key) ~default:0)
+let add table key n =
+  match Chord.Id.Tbl.find_opt table key with
+  | Some cell -> cell := !cell + n
+  | None -> Chord.Id.Tbl.add table key (ref n)
 
 let lookup_count table key =
-  Option.value (Hashtbl.find_opt table key) ~default:0
+  match Chord.Id.Tbl.find_opt table key with Some cell -> !cell | None -> 0
 
 let hot_score t identifier =
   lookup_count t.current identifier + lookup_count t.previous identifier
 
 (* Rank order used everywhere: score descending, identifier ascending. *)
-let outranks (sa, ida) (sb, idb) = sa > sb || (sa = sb && ida < idb)
+let outranks ((sa : int), (ida : int)) (sb, idb) =
+  sa > sb || (sa = sb && ida < idb)
 
 let invalidate t = t.revision <- t.revision + 1
 
@@ -67,7 +71,7 @@ let invalidate t = t.revision <- t.revision + 1
 let note_recorded t identifier =
   match t.hot_cache with
   | Some c when c.rev = t.revision ->
-    if not (Hashtbl.mem c.set identifier) then begin
+    if not (Chord.Id.Tbl.mem c.set identifier) then begin
       match c.floor with
       | None -> invalidate t
       | Some floor ->
@@ -76,21 +80,21 @@ let note_recorded t identifier =
   | Some _ | None -> ()
 
 let record_query t ~peer ~identifier =
-  bump t.peer_loads peer;
-  bump t.current identifier;
+  add t.peer_loads peer 1;
+  add t.current identifier 1;
   t.total <- t.total + 1;
   t.in_window <- t.in_window + 1;
   note_recorded t identifier;
   if t.in_window >= t.window then begin
     let retired = t.previous in
     t.previous <- t.current;
-    Hashtbl.reset retired;
+    Chord.Id.Tbl.reset retired;
     t.current <- retired;
     t.in_window <- 0;
     invalidate t
   end
 
-let record_entry t ~peer = bump t.peer_entries peer
+let record_entries t ~peer n = if n > 0 then add t.peer_entries peer n
 
 let total_queries t = t.total
 
@@ -102,10 +106,10 @@ let peer_entries t peer = lookup_count t.peer_entries peer
    from [previous]. *)
 let windowed_scores t =
   let from_current =
-    Hashtbl.fold (fun id _ l -> (id, hot_score t id) :: l) t.current []
+    Chord.Id.Tbl.fold (fun id _ l -> (id, hot_score t id) :: l) t.current []
   in
-  Hashtbl.fold
-    (fun id n l -> if Hashtbl.mem t.current id then l else (id, n) :: l)
+  Chord.Id.Tbl.fold
+    (fun id n l -> if Chord.Id.Tbl.mem t.current id then l else (id, !n) :: l)
     t.previous from_current
 
 (* The same pairs in rank order (score descending, identifier ascending). *)
@@ -120,13 +124,13 @@ let top_k_set t k =
   | Some c when c.rev = t.revision -> c.set
   | Some _ | None ->
     t.recomputations <- t.recomputations + 1;
-    let set = Hashtbl.create k in
+    let set = Chord.Id.Tbl.create k in
     let members = ref 0 in
     let weakest = ref None in
     List.iteri
       (fun i (id, score) ->
         if i < k && score > 0 then begin
-          Hashtbl.replace set id ();
+          Chord.Id.Tbl.replace set id ();
           incr members;
           weakest := Some (score, id)
         end)
@@ -140,7 +144,7 @@ let recomputations t = t.recomputations
 let is_hot t identifier =
   match t.policy with
   | Absolute n -> hot_score t identifier >= n
-  | Top_k k -> Hashtbl.mem (top_k_set t k) identifier
+  | Top_k k -> Chord.Id.Tbl.mem (top_k_set t k) identifier
 
 let hot_identifiers t =
   List.filter_map
@@ -155,6 +159,6 @@ let imbalance loads =
     if total = 0 then 0.0
     else
       let mean = float_of_int total /. float_of_int (List.length loads) in
-      float_of_int (List.fold_left Stdlib.max 0 loads) /. mean
+      float_of_int (List.fold_left Int.max 0 loads) /. mean
 
 let load_imbalance t ~peers = imbalance (List.map (peer_load t) peers)

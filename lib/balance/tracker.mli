@@ -3,7 +3,7 @@
     The tracker keeps two kinds of tallies:
 
     - {b per-peer}: cumulative counts of identifier lookups a peer has
-      served ([record_query]) and of entries stored at it ([record_entry])
+      served ([record_query]) and of entries stored at it ([record_entries])
       — the raw material of the max/mean imbalance ratio that Figure 11
       motivates;
     - {b per-identifier}: lookup counts over a sliding pair of windows of
@@ -35,8 +35,9 @@ val record_query : t -> peer:int -> identifier:int -> unit
     load and the identifier's windowed score (rotating the window when
     full). *)
 
-val record_entry : t -> peer:int -> unit
-(** One entry stored at [peer] (a publish or cache insert landed there). *)
+val record_entries : t -> peer:int -> int -> unit
+(** [record_entries t ~peer n]: [n] entries stored at [peer] (a publish,
+    cache insert or bucket copy landed there). No-op when [n = 0]. *)
 
 val total_queries : t -> int
 (** All lookups ever recorded (not windowed). *)

@@ -38,3 +38,13 @@ val in_interval_oc : t -> lo:t -> hi:t -> bool
 
 val pp : Format.formatter -> t -> unit
 (** Zero-padded hexadecimal. *)
+
+(** Hash tables keyed by identifiers (and by any other [int]: peer ids,
+    ring positions). They hash with the polymorphic [Hashtbl.hash], so
+    every key lands in the same bucket as in a generic [Hashtbl] and
+    [fold]/[iter] visit the same order; only the probes are monomorphic
+    ([Int.equal] instead of [compare]). *)
+module Tbl : Hashtbl.S with type key = int
+
+(** The same for pairs of ints, e.g. (position, segment start). *)
+module Pair_tbl : Hashtbl.S with type key = int * int

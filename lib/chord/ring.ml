@@ -4,7 +4,7 @@ type t = {
 }
 
 (* Index of the owner of [key]: first node at or clockwise after key. *)
-let owner_index sorted key =
+let owner_index (sorted : int array) key =
   let n = Array.length sorted in
   (* First index with sorted.(i) >= key, else wrap to 0. *)
   let rec search lo hi =
@@ -130,21 +130,21 @@ let lookup t ~from ~key =
 
 module Route_cache = struct
   type t = {
-    known : (int, unit) Hashtbl.t;
+    known : unit Id.Tbl.t;
     mutable shortcuts : int;
     mutable full_walks : int;
   }
 
-  let create () = { known = Hashtbl.create 64; shortcuts = 0; full_walks = 0 }
-  let learn t id = Hashtbl.replace t.known id ()
-  let known t = Hashtbl.length t.known
+  let create () = { known = Id.Tbl.create 64; shortcuts = 0; full_walks = 0 }
+  let learn t id = Id.Tbl.replace t.known id ()
+  let known t = Id.Tbl.length t.known
   let shortcuts t = t.shortcuts
   let full_walks t = t.full_walks
 
   (* The known node that makes the most clockwise progress from [from]
      without passing the owner — the best address to contact directly. *)
   let best_shortcut t ~from ~target =
-    Hashtbl.fold
+    Id.Tbl.fold
       (fun c () acc ->
         if c <> from && Id.in_interval_oc c ~lo:from ~hi:target then
           match acc with

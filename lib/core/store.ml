@@ -12,7 +12,7 @@ type stamped = { entry : entry; mutable stamp : int }
 
 type t = {
   policy : policy;
-  buckets : (int, stamped list) Hashtbl.t;
+  buckets : stamped list Chord.Id.Tbl.t;
   mutable entries : int;
   mutable clock : int;
   mutable evictions : int;
@@ -27,7 +27,7 @@ let create ?(policy = Unbounded) () =
     invalid_arg "Store.create: capacity must be at least 1";
   {
     policy;
-    buckets = Hashtbl.create 16;
+    buckets = Chord.Id.Tbl.create 16;
     entries = 0;
     clock = 0;
     evictions = 0;
@@ -40,7 +40,7 @@ let tick t =
   t.clock
 
 let raw_bucket t identifier =
-  Option.value (Hashtbl.find_opt t.buckets identifier) ~default:[]
+  Option.value (Chord.Id.Tbl.find_opt t.buckets identifier) ~default:[]
 
 let bucket t ~identifier =
   let stamped = raw_bucket t identifier in
@@ -55,23 +55,23 @@ let peek_bucket t ~identifier =
   List.map (fun s -> s.entry) (raw_bucket t identifier)
 
 let remove_bucket t ~identifier =
-  match Hashtbl.find_opt t.buckets identifier with
+  match Chord.Id.Tbl.find_opt t.buckets identifier with
   | None -> 0
   | Some stamped ->
-    Hashtbl.remove t.buckets identifier;
+    Chord.Id.Tbl.remove t.buckets identifier;
     let n = List.length stamped in
     t.entries <- t.entries - n;
     n
 
-let mem t ~identifier ~range =
-  List.exists
-    (fun s -> Rangeset.Range.equal s.entry.range range)
-    (raw_bucket t identifier)
+let has_range stamped range =
+  List.exists (fun s -> Rangeset.Range.equal s.entry.range range) stamped
+
+let mem t ~identifier ~range = has_range (raw_bucket t identifier) range
 
 (* Remove the entry with the smallest stamp anywhere in the store. *)
 let evict_one t =
   let victim = ref None in
-  Hashtbl.iter
+  Chord.Id.Tbl.iter
     (fun identifier stamped ->
       List.iter
         (fun s ->
@@ -84,8 +84,8 @@ let evict_one t =
   | None -> ()
   | Some (identifier, s) ->
     let remaining = List.filter (fun s' -> s' != s) (raw_bucket t identifier) in
-    if remaining = [] then Hashtbl.remove t.buckets identifier
-    else Hashtbl.replace t.buckets identifier remaining;
+    if remaining = [] then Chord.Id.Tbl.remove t.buckets identifier
+    else Chord.Id.Tbl.replace t.buckets identifier remaining;
     t.entries <- t.entries - 1;
     t.evictions <- t.evictions + 1
 
@@ -97,20 +97,49 @@ let insert t ~identifier entry =
     done;
     (* Re-read the bucket: the victim may have sat in this very one. *)
     let stamped = { entry; stamp = tick t } in
-    Hashtbl.replace t.buckets identifier (stamped :: raw_bucket t identifier);
+    Chord.Id.Tbl.replace t.buckets identifier
+      (stamped :: raw_bucket t identifier);
     t.entries <- t.entries + 1;
     true
   end
 
+(* The bucket is read once and written back once, except around an
+   eviction: the table must be current for the victim scan, and the
+   bucket is re-read afterwards because the victim may have sat in this
+   very one. Same table mutations, in the same order, as [insert] on
+   each entry in turn — which stays the reference it is tested against. *)
+let insert_all t ~identifier entries =
+  let capacity = capacity_of t.policy in
+  let bucket = ref (raw_bucket t identifier) in
+  let inserted = ref 0 and dirty = ref false in
+  List.iter
+    (fun entry ->
+      if not (has_range !bucket entry.range) then begin
+        if t.entries >= capacity then begin
+          if !dirty then Chord.Id.Tbl.replace t.buckets identifier !bucket;
+          while t.entries >= capacity do
+            evict_one t
+          done;
+          bucket := raw_bucket t identifier
+        end;
+        bucket := { entry; stamp = tick t } :: !bucket;
+        dirty := true;
+        t.entries <- t.entries + 1;
+        incr inserted
+      end)
+    entries;
+  if !dirty then Chord.Id.Tbl.replace t.buckets identifier !bucket;
+  !inserted
+
 let identifiers t =
-  Hashtbl.fold (fun identifier _ acc -> identifier :: acc) t.buckets []
+  Chord.Id.Tbl.fold (fun identifier _ acc -> identifier :: acc) t.buckets []
   |> List.sort Int.compare
 
 let all_entries t =
-  Hashtbl.fold
+  Chord.Id.Tbl.fold
     (fun _ stamped acc -> List.rev_append (List.map (fun s -> s.entry) stamped) acc)
     t.buckets []
 
-let bucket_count t = Hashtbl.length t.buckets
+let bucket_count t = Chord.Id.Tbl.length t.buckets
 let entry_count t = t.entries
 let evictions t = t.evictions

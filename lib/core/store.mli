@@ -37,6 +37,13 @@ val insert : t -> identifier:Chord.Id.t -> entry -> bool
     added. May trigger an eviction first when the store is at capacity —
     only on an actual insertion. *)
 
+val insert_all : t -> identifier:Chord.Id.t -> entry list -> int
+(** [insert_all t ~identifier entries] inserts [entries] in list order
+    (oldest first, so the last one ends up at the head of the bucket) and
+    returns how many were added — exactly what {!insert} on each entry in
+    turn would do and count, including evictions between entries, but
+    reading the bucket once instead of once per entry. *)
+
 val bucket : t -> identifier:Chord.Id.t -> entry list
 (** Entries under one identifier; empty if none. Under [Lru] this counts as
     a use of every returned entry. *)

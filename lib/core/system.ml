@@ -3,7 +3,7 @@ module Range = Rangeset.Range
 type replication_state = {
   r : int;
   view : Balance.Replicas.view;
-  replicas : (int, int list) Hashtbl.t; (* identifier -> replica positions *)
+  replicas : int list Chord.Id.Tbl.t; (* identifier -> replica positions *)
   tie_rng : Prng.Splitmix.t;
 }
 
@@ -13,7 +13,7 @@ type t = {
   cache : Lsh.Domain_cache.t option;
   sig_cache : Lsh.Sig_cache.t option;
   routing : Routing.t; (* the substrate wrapping the ring *)
-  peers : (int, Peer.t) Hashtbl.t; (* keyed by ring position *)
+  peers : Peer.t Chord.Id.Tbl.t; (* keyed by ring position *)
   by_name : (string, Peer.t) Hashtbl.t;
   peer_list : Peer.t array;
   peer_ids : int list; (* [Peer.id] of [peer_list], same order *)
@@ -21,11 +21,11 @@ type t = {
   tracker : Balance.Tracker.t;
   replication : replication_state option;
   migration : Balance.Migration.t option;
-  dead : (int, unit) Hashtbl.t; (* physical ids of failed peers *)
+  dead : unit Chord.Id.Tbl.t; (* physical ids of failed peers *)
   faults : (Faults.Plane.t * Faults.Retry.policy) option;
   (* identifier -> ring positions holding parked hints for it, oldest
      first. Only ever populated when [Config.hinted_handoff] is on. *)
-  hints : (int, int list) Hashtbl.t;
+  hints : int list Chord.Id.Tbl.t;
 }
 
 let create_with_peers ?(config = Config.default) ~seed names =
@@ -55,23 +55,24 @@ let create_with_peers ?(config = Config.default) ~seed names =
          names)
   in
   let v = config.Config.virtual_nodes in
-  let peers = Hashtbl.create (Array.length peer_list * v) in
+  let peers = Chord.Id.Tbl.create (Array.length peer_list * v) in
   let by_name = Hashtbl.create (Array.length peer_list) in
   Array.iter
     (fun p ->
       List.iter
         (fun position ->
-          if Hashtbl.mem peers position then
+          if Chord.Id.Tbl.mem peers position then
             Error.raise_error
               ~context:[ ("peer", Peer.name p) ]
               Error.Invalid_topology
               "System: ring position collision (rename a peer)";
-          Hashtbl.replace peers position p)
+          Chord.Id.Tbl.replace peers position p)
         (Balance.Virtual_nodes.positions ~name:(Peer.name p) ~v);
       Hashtbl.replace by_name (Peer.name p) p)
     peer_list;
   let ring =
-    Chord.Ring.create ~ids:(Hashtbl.fold (fun id _ acc -> id :: acc) peers [])
+    Chord.Ring.create
+      ~ids:(Chord.Id.Tbl.fold (fun id _ acc -> id :: acc) peers [])
   in
   (* Substrate construction (including the learned fit) is deterministic
      and draws nothing from [rng], so the streams below are identical
@@ -99,7 +100,7 @@ let create_with_peers ?(config = Config.default) ~seed names =
         {
           r;
           view = Balance.Replicas.of_ring ring;
-          replicas = Hashtbl.create 64;
+          replicas = Chord.Id.Tbl.create 64;
           (* Split after every other stream has been drawn, so turning
              replication on leaves the scheme's hash functions untouched. *)
           tie_rng = Prng.Splitmix.split rng;
@@ -143,9 +144,9 @@ let create_with_peers ?(config = Config.default) ~seed names =
     tracker;
     replication;
     migration;
-    dead = Hashtbl.create 8;
+    dead = Chord.Id.Tbl.create 8;
     faults;
-    hints = Hashtbl.create 8;
+    hints = Chord.Id.Tbl.create 8;
   }
 
 let create ?config ~seed ~n_peers () =
@@ -162,7 +163,7 @@ let ring t = Routing.ring t.routing
 let peers t = Array.to_list t.peer_list
 let peer_count t = Array.length t.peer_list
 
-let peer_by_id t id = Hashtbl.find t.peers id
+let peer_by_id t id = Chord.Id.Tbl.find t.peers id
 let peer_by_name t name = Hashtbl.find t.by_name name
 
 let random_peer t rng =
@@ -177,7 +178,7 @@ let owner_of_identifier t identifier = peer_by_id t (position_of t identifier)
 
 let tracker t = t.tracker
 
-let alive t peer = not (Hashtbl.mem t.dead (Peer.id peer))
+let alive t peer = not (Chord.Id.Tbl.mem t.dead (Peer.id peer))
 
 (* Alive and outside any fault-plane crash window — the peers worth
    contacting. Identical to [alive] when no plane is configured. *)
@@ -226,7 +227,7 @@ let fail_peer t peer =
     Error.raise_error
       ~context:[ ("peer", Peer.name peer) ]
       Error.Unknown_peer "System.fail_peer: unknown peer";
-  Hashtbl.replace t.dead (Peer.id peer) ();
+  Chord.Id.Tbl.replace t.dead (Peer.id peer) ();
   Obs.Series.mark_s "system.fail_peer" "peer" (Peer.name peer);
   note_churn t peer
 
@@ -238,7 +239,7 @@ let load_imbalance t = Balance.Tracker.load_imbalance t.tracker ~peers:t.peer_id
 let replicated_buckets t =
   match t.replication with
   | None -> 0
-  | Some rs -> Hashtbl.length rs.replicas
+  | Some rs -> Chord.Id.Tbl.length rs.replicas
 
 let migrated_slices t =
   match t.migration with
@@ -352,10 +353,16 @@ let s_hints_replayed = Obs.Series.counter "system.hints_replayed"
 let s_migrations = Obs.Series.counter ~labels:[ "peer" ] "balance.migrations"
 
 (* Store [entry] in [peer]'s bucket unless an equal range is already
-   there, tallying the stored entry; true when it inserted. *)
+   there, tallying the stored entry. *)
 let insert_tracked t peer ~identifier entry =
-  let fresh = Store.insert (Peer.store peer) ~identifier entry in
-  if fresh then Balance.Tracker.record_entry t.tracker ~peer:(Peer.id peer);
+  if Store.insert (Peer.store peer) ~identifier entry then
+    Balance.Tracker.record_entries t.tracker ~peer:(Peer.id peer) 1
+
+(* The same for a whole bucket's entries, oldest first (a migration,
+   replica or hint copy); returns how many it inserted. *)
+let copy_tracked t peer ~identifier entries =
+  let fresh = Store.insert_all (Peer.store peer) ~identifier entries in
+  Balance.Tracker.record_entries t.tracker ~peer:(Peer.id peer) fresh;
   fresh
 
 (* With migration on: the routed ring position, the peer now responsible
@@ -406,11 +413,8 @@ let apply_move t (mv : Balance.Migration.move) =
             let entries =
               List.rev (Store.peek_bucket (Peer.store source) ~identifier)
             in
-            List.iter
-              (fun (entry : Store.entry) ->
-                ignore (insert_tracked t target ~identifier entry : bool);
-                incr moved)
-              entries;
+            ignore (copy_tracked t target ~identifier entries : int);
+            moved := !moved + List.length entries;
             ignore (Store.remove_bucket (Peer.store source) ~identifier : int)
           end)
         (Store.identifiers (Peer.store source));
@@ -451,19 +455,19 @@ let store_at_owners t routes ~range ~partition =
     (fun (identifier, owner, _) ->
       let home, _, _ = resolve_home t ~identifier ~owner in
       if responsive t home then
-        ignore (insert_tracked t home ~identifier entry : bool);
+        insert_tracked t home ~identifier entry;
       match t.replication with
       | None -> ()
       | Some rs -> (
         (* Keep live replicas of a replicated bucket in step with it. *)
-        match Hashtbl.find_opt rs.replicas identifier with
+        match Chord.Id.Tbl.find_opt rs.replicas identifier with
         | None -> ()
         | Some positions ->
           List.iter
             (fun position ->
               let rp = peer_by_id t position in
               if responsive t rp then
-                ignore (insert_tracked t rp ~identifier entry : bool))
+                insert_tracked t rp ~identifier entry)
             positions))
     routes
 
@@ -490,12 +494,14 @@ let park_hint t ~from ~identifier ~hops entry =
           let cp = peer_by_id t cpos in
           if responsive t cp && contact_peer t ~from ~peer:cp ~legs:(hops + 2)
           then begin
-            ignore (insert_tracked t cp ~identifier entry : bool);
+            insert_tracked t cp ~identifier entry;
             let holders =
-              Option.value (Hashtbl.find_opt t.hints identifier) ~default:[]
+              Option.value
+                (Chord.Id.Tbl.find_opt t.hints identifier)
+                ~default:[]
             in
             if not (List.mem cpos holders) then
-              Hashtbl.replace t.hints identifier (holders @ [ cpos ]);
+              Chord.Id.Tbl.replace t.hints identifier (holders @ [ cpos ]);
             Obs.Metrics.incr m_hints_parked;
             Obs.Series.incr1 s_hints_parked (Peer.name cp);
             Obs.Trace.set_bool "parked" true;
@@ -507,10 +513,10 @@ let park_hint t ~from ~identifier ~hops entry =
       in
       try_park candidates)
 
-let parked_hints t = Hashtbl.length t.hints
+let parked_hints t = Chord.Id.Tbl.length t.hints
 
 let sorted_keys tbl =
-  Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort Int.compare
+  Chord.Id.Tbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort Int.compare
 
 (* Anti-entropy reconciliation after faults heal. Two deterministic
    passes with zero PRNG draws — identifiers in sorted order, bucket
@@ -538,7 +544,8 @@ let repair t =
             let home, _, _ = resolve_home t ~identifier ~owner in
             if responsive t home then begin
               let holders =
-                Option.value (Hashtbl.find_opt t.hints identifier) ~default:[]
+                Option.value (Chord.Id.Tbl.find_opt t.hints identifier)
+                  ~default:[]
               in
               let remaining =
                 List.filter
@@ -549,16 +556,15 @@ let repair t =
                       let entries =
                         List.rev (Store.peek_bucket (Peer.store hp) ~identifier)
                       in
-                      List.iter
-                        (fun entry ->
-                          if insert_tracked t home ~identifier entry then
-                            incr replayed)
-                        entries;
+                      replayed :=
+                        !replayed + copy_tracked t home ~identifier entries;
                       let holder_is_replica =
                         match t.replication with
                         | None -> false
                         | Some rs -> (
-                          match Hashtbl.find_opt rs.replicas identifier with
+                          match
+                            Chord.Id.Tbl.find_opt rs.replicas identifier
+                          with
                           | None -> false
                           | Some positions -> List.mem hpos positions)
                       in
@@ -573,8 +579,8 @@ let repair t =
                     end)
                   holders
               in
-              if remaining = [] then Hashtbl.remove t.hints identifier
-              else Hashtbl.replace t.hints identifier remaining
+              if remaining = [] then Chord.Id.Tbl.remove t.hints identifier
+              else Chord.Id.Tbl.replace t.hints identifier remaining
             end)
           (sorted_keys t.hints);
         (match t.replication with
@@ -592,13 +598,10 @@ let repair t =
                   (fun position ->
                     let rp = peer_by_id t position in
                     if Peer.id rp <> Peer.id home && responsive t rp then
-                      List.iter
-                        (fun entry ->
-                          if insert_tracked t rp ~identifier entry then
-                            incr resynced)
-                        entries)
+                      resynced :=
+                        !resynced + copy_tracked t rp ~identifier entries)
                   (Option.value
-                     (Hashtbl.find_opt rs.replicas identifier)
+                     (Chord.Id.Tbl.find_opt rs.replicas identifier)
                      ~default:[])
               end)
             (sorted_keys rs.replicas));
@@ -614,7 +617,7 @@ let recover_peer t peer =
     Error.raise_error
       ~context:[ ("peer", Peer.name peer) ]
       Error.Unknown_peer "System.recover_peer: unknown peer";
-  Hashtbl.remove t.dead (Peer.id peer);
+  Chord.Id.Tbl.remove t.dead (Peer.id peer);
   Obs.Series.mark_s "system.recover_peer" "peer" (Peer.name peer);
   note_churn t peer;
   (* The recovered peer comes back with whatever its store held; the
@@ -640,10 +643,11 @@ let maintain_replicas t rs ~identifier ~owner =
       | _owner :: replicas -> replicas
     in
     let existing =
-      Option.value (Hashtbl.find_opt rs.replicas identifier) ~default:[]
+      Option.value (Chord.Id.Tbl.find_opt rs.replicas identifier) ~default:[]
     in
     if desired <> [] && existing = [] then Obs.Metrics.incr m_replications;
-    if desired <> existing then Hashtbl.replace rs.replicas identifier desired;
+    if not (List.equal Int.equal desired existing) then
+      Chord.Id.Tbl.replace rs.replicas identifier desired;
     if responsive t owner then begin
       (* Oldest first: insertion prepends, so the copy ends up in the
          owner's bucket order and tie-breaks in [Matching.best] the same. *)
@@ -651,16 +655,13 @@ let maintain_replicas t rs ~identifier ~owner =
       List.iter
         (fun position ->
           let rp = peer_by_id t position in
-          List.iter
-            (fun entry ->
-              if insert_tracked t rp ~identifier entry then
-                Obs.Metrics.incr m_replicated_entries)
-            entries)
+          Obs.Metrics.add m_replicated_entries
+            (copy_tracked t rp ~identifier entries))
         desired
     end
   end
   else
-    match Hashtbl.find_opt rs.replicas identifier with
+    match Chord.Id.Tbl.find_opt rs.replicas identifier with
     | None -> ()
     | Some positions ->
       List.iter
@@ -670,7 +671,7 @@ let maintain_replicas t rs ~identifier ~owner =
                ~identifier
               : int))
         positions;
-      Hashtbl.remove rs.replicas identifier;
+      Chord.Id.Tbl.remove rs.replicas identifier;
       Obs.Metrics.incr m_replica_drops
 
 (* Who answers the lookup for [identifier] after routing reached [owner]:
@@ -683,7 +684,7 @@ let serving_peer t ~identifier ~owner =
   | Some rs -> (
     let members =
       owner
-      :: (match Hashtbl.find_opt rs.replicas identifier with
+      :: (match Chord.Id.Tbl.find_opt rs.replicas identifier with
          | None -> []
          | Some positions -> List.map (peer_by_id t) positions)
       |> List.filter (responsive t)
@@ -700,7 +701,7 @@ let serving_peer t ~identifier ~owner =
           members
       in
       let min_load =
-        List.fold_left (fun acc (load, _) -> Stdlib.min acc load) max_int scored
+        List.fold_left (fun acc (load, _) -> Int.min acc load) max_int scored
       in
       let minima = List.filter (fun (load, _) -> load = min_load) scored in
       (match minima with
@@ -718,7 +719,7 @@ let serving_peer t ~identifier ~owner =
 let hint_serve t ~contact ~effective ~identifier ~hops =
   if not t.config.Config.hinted_handoff then None
   else
-    match Hashtbl.find_opt t.hints identifier with
+    match Chord.Id.Tbl.find_opt t.hints identifier with
     | None | Some [] -> None
     | Some holders ->
       let rec try_holders = function
@@ -752,8 +753,8 @@ let m_batch_coalesced = Obs.Metrics.counter "system.batch.coalesced_contacts"
    instead of re-recording the cost. *)
 type shared_round = {
   route_cache : Routing.cache;
-  routed : (int, Peer.t * int * int) Hashtbl.t; (* id -> owner, hops, span *)
-  contacted : (int, bool * int) Hashtbl.t; (* peer id -> outcome, span *)
+  routed : (Peer.t * int * int) Chord.Id.Tbl.t; (* id -> owner, hops, span *)
+  contacted : (bool * int) Chord.Id.Tbl.t; (* peer id -> outcome, span *)
 }
 
 (* The round a query runs in — the only thing that differs between
@@ -771,7 +772,7 @@ let route_in t round ~from ~charge identifier =
   match round with
   | Alone -> route_one t ~from identifier
   | Batched { shared; _ } -> (
-    match Hashtbl.find_opt shared.routed identifier with
+    match Chord.Id.Tbl.find_opt shared.routed identifier with
     | Some (owner, hops, resolved_in) ->
       Obs.Metrics.incr m_batch_id_hits;
       Obs.Trace.event_ii "batch.id_memo_hit" "identifier" identifier
@@ -785,7 +786,7 @@ let route_in t round ~from ~charge identifier =
               ~from:(Peer.id from) ~key:identifier
           in
           let owner = peer_by_id t owner_pos in
-          Hashtbl.replace shared.routed identifier
+          Chord.Id.Tbl.replace shared.routed identifier
             (owner, hops, current_span ());
           charge hops;
           Obs.Trace.set_int "hops" hops;
@@ -796,7 +797,7 @@ let contact_in t round ~from ~charge peer ~hops =
   match round with
   | Alone -> contact_peer t ~from ~peer ~legs:(hops + 1)
   | Batched { shared; _ } -> (
-    match Hashtbl.find_opt shared.contacted (Peer.id peer) with
+    match Chord.Id.Tbl.find_opt shared.contacted (Peer.id peer) with
     | Some (ok, first_in) ->
       Obs.Metrics.incr m_batch_coalesced;
       Obs.Trace.event_ii "batch.contact_coalesced" "peer" (Peer.id peer)
@@ -804,7 +805,8 @@ let contact_in t round ~from ~charge peer ~hops =
       ok
     | None ->
       let ok = contact_peer t ~from ~peer ~legs:(hops + 1) in
-      Hashtbl.replace shared.contacted (Peer.id peer) (ok, current_span ());
+      Chord.Id.Tbl.replace shared.contacted (Peer.id peer)
+        (ok, current_span ());
       charge 2;
       Obs.Trace.event_ii "contact" "peer" (Peer.id peer) "msgs" 2;
       ok)
@@ -1107,8 +1109,8 @@ let query_batch t ~from ranges =
         let shared =
           {
             route_cache = Routing.new_cache t.routing;
-            routed = Hashtbl.create 32;
-            contacted = Hashtbl.create 32;
+            routed = Chord.Id.Tbl.create 32;
+            contacted = Chord.Id.Tbl.create 32;
           }
         in
         List.mapi
@@ -1155,10 +1157,10 @@ let check_invariants_detailed t =
           "ring: successor(%d) = %d, expected %d" id succ expected;
       if Chord.Ring.owner r id <> id then
         note "ring" [ pos id ] "ring: position %d does not own itself" id;
-      if not (Hashtbl.mem t.peers id) then
+      if not (Chord.Id.Tbl.mem t.peers id) then
         note "ring" [ pos id ] "ring: position %d has no peer behind it" id)
     ids;
-  Hashtbl.iter
+  Chord.Id.Tbl.iter
     (fun position _ ->
       if not (Chord.Ring.contains r position) then
         note "ring" [ pos position ] "ring: peer position %d is not on the ring"
@@ -1167,7 +1169,7 @@ let check_invariants_detailed t =
   (* 2. Data reachability: every bucket stored anywhere must be servable
      from its home (owner or migration holder), a responsive registered
      replica, or a responsive hint holder. *)
-  let checked = Hashtbl.create 64 in
+  let checked = Chord.Id.Tbl.create 64 in
   let reachable identifier =
     let owner = owner_of_identifier t identifier in
     let home, _, _ = resolve_home t ~identifier ~owner in
@@ -1176,7 +1178,7 @@ let check_invariants_detailed t =
     || (match t.replication with
        | None -> false
        | Some rs -> (
-         match Hashtbl.find_opt rs.replicas identifier with
+         match Chord.Id.Tbl.find_opt rs.replicas identifier with
          | None -> false
          | Some positions ->
            List.exists
@@ -1185,7 +1187,7 @@ let check_invariants_detailed t =
                responsive t rp && has rp)
              positions))
     ||
-    match Hashtbl.find_opt t.hints identifier with
+    match Chord.Id.Tbl.find_opt t.hints identifier with
     | None -> false
     | Some holders ->
       List.exists
@@ -1198,8 +1200,8 @@ let check_invariants_detailed t =
     (fun p ->
       List.iter
         (fun identifier ->
-          if not (Hashtbl.mem checked identifier) then begin
-            Hashtbl.replace checked identifier ();
+          if not (Chord.Id.Tbl.mem checked identifier) then begin
+            Chord.Id.Tbl.replace checked identifier ();
             if not (reachable identifier) then
               note "data"
                 [ ident identifier; ("stored_at", Peer.name p) ]
@@ -1216,7 +1218,7 @@ let check_invariants_detailed t =
   | Some rs ->
     List.iter
       (fun identifier ->
-        let positions = Hashtbl.find rs.replicas identifier in
+        let positions = Chord.Id.Tbl.find rs.replicas identifier in
         let owner = owner_of_identifier t identifier in
         if
           List.length (List.sort_uniq Int.compare positions)
@@ -1226,7 +1228,7 @@ let check_invariants_detailed t =
             "replicas: identifier %d has duplicate positions" identifier;
         List.iter
           (fun rpos ->
-            match Hashtbl.find_opt t.peers rpos with
+            match Chord.Id.Tbl.find_opt t.peers rpos with
             | None ->
               note "replicas"
                 [ ident identifier; pos rpos ]

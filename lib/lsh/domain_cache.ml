@@ -26,7 +26,7 @@ let build_rmq fn domain =
     if width <= 0 then tables.(j) <- [||]
     else
       tables.(j) <-
-        Array.init width (fun i -> Stdlib.min prev.(i) prev.(i + (span / 2)))
+        Array.init width (fun i -> Int.min prev.(i) prev.(i + (span / 2)))
   done;
   tables
 
@@ -39,14 +39,6 @@ let build scheme ~domain =
 let scheme t = t.scheme
 let domain t = t.domain
 
-let range_min (rmq : rmq) ~pos ~len =
-  if len = 1 then rmq.(0).(pos)
-  else begin
-    let j = floor_log2 len in
-    let a = rmq.(j).(pos) and b = rmq.(j).(pos + len - (1 lsl j)) in
-    Stdlib.min a b
-  end
-
 let m_queries = Obs.Metrics.counter "lsh.domain_cache.queries"
 
 let identifiers t range =
@@ -55,10 +47,19 @@ let identifiers t range =
   Obs.Metrics.incr m_queries;
   let pos = Range.lo range - Range.lo t.domain in
   let len = Range.cardinal range in
+  (* The sparse-table minimum over [pos, pos + len) is the smaller of two
+     overlapping 2^j-wide blocks; j and the second block's offset depend
+     only on the range, so they are shared by all l·k functions. *)
+  let j = floor_log2 len in
+  let pos' = pos + len - (1 lsl j) in
+  let range_min (rmq : rmq) =
+    let level = rmq.(j) in
+    Int.min level.(pos) level.(pos')
+  in
   let fold =
     match Scheme.combining t.scheme with
-    | Scheme.Xor -> fun acc rmq -> acc lxor range_min rmq ~pos ~len
-    | Scheme.Sum_mod -> fun acc rmq -> acc + range_min rmq ~pos ~len
+    | Scheme.Xor -> fun acc rmq -> acc lxor range_min rmq
+    | Scheme.Sum_mod -> fun acc rmq -> acc + range_min rmq
   in
   Array.to_list
     (Array.map

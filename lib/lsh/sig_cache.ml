@@ -5,6 +5,15 @@
    canonical (lo, hi) pair gives O(1) lookup. Both [find] and [add]
    promote, so the tail is always the true least-recently-used entry. *)
 
+(* Monomorphic probes on the (lo, hi) key. A local table because this
+   library sits below [chord], whose [Chord.Id.Pair_tbl] is the same. *)
+module Key_tbl = Hashtbl.Make (struct
+  type t = int * int
+
+  let equal (a, b) (c, d) = Int.equal a c && Int.equal b d
+  let hash = Hashtbl.hash
+end)
+
 type node = {
   key : int * int;
   ids : int list;
@@ -14,7 +23,7 @@ type node = {
 
 type t = {
   capacity : int;
-  table : (int * int, node) Hashtbl.t;
+  table : node Key_tbl.t;
   mutable head : node option;
   mutable tail : node option;
   mutable hits : int;
@@ -30,7 +39,7 @@ let create ~capacity =
   if capacity < 1 then invalid_arg "Sig_cache.create: capacity must be >= 1";
   {
     capacity;
-    table = Hashtbl.create (min capacity 64);
+    table = Key_tbl.create (Int.min capacity 64);
     head = None;
     tail = None;
     hits = 0;
@@ -39,7 +48,7 @@ let create ~capacity =
   }
 
 let capacity t = t.capacity
-let length t = Hashtbl.length t.table
+let length t = Key_tbl.length t.table
 let hits t = t.hits
 let misses t = t.misses
 let evictions t = t.evictions
@@ -56,7 +65,7 @@ let push_front t n =
   t.head <- Some n
 
 let find t ~lo ~hi =
-  match Hashtbl.find_opt t.table (lo, hi) with
+  match Key_tbl.find_opt t.table (lo, hi) with
   | Some n ->
     t.hits <- t.hits + 1;
     Obs.Metrics.incr c_hit;
@@ -72,21 +81,21 @@ let find t ~lo ~hi =
 
 let add t ~lo ~hi ids =
   let key = (lo, hi) in
-  (match Hashtbl.find_opt t.table key with
+  (match Key_tbl.find_opt t.table key with
   | Some old ->
     unlink t old;
-    Hashtbl.remove t.table key
+    Key_tbl.remove t.table key
   | None -> ());
-  if Hashtbl.length t.table >= t.capacity then (
+  if Key_tbl.length t.table >= t.capacity then (
     match t.tail with
     | Some lru ->
       unlink t lru;
-      Hashtbl.remove t.table lru.key;
+      Key_tbl.remove t.table lru.key;
       t.evictions <- t.evictions + 1;
       Obs.Metrics.incr c_evict
     | None -> ());
   let n = { key; ids; prev = None; next = None } in
-  Hashtbl.replace t.table key n;
+  Key_tbl.replace t.table key n;
   push_front t n
 
 let find_or_compute t ~lo ~hi compute =

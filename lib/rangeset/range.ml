@@ -19,7 +19,7 @@ let compare a b =
   match Int.compare a.lo b.lo with 0 -> Int.compare a.hi b.hi | c -> c
 
 let intersect a b =
-  let lo = Stdlib.max a.lo b.lo and hi = Stdlib.min a.hi b.hi in
+  let lo = Int.max a.lo b.lo and hi = Int.min a.hi b.hi in
   if hi < lo then None else Some { lo; hi }
 
 let overlap_cardinal a b =
@@ -29,16 +29,16 @@ let union_cardinal a b = cardinal a + cardinal b - overlap_cardinal a b
 
 let contains ~outer ~inner = outer.lo <= inner.lo && inner.hi <= outer.hi
 
-let span a b = { lo = Stdlib.min a.lo b.lo; hi = Stdlib.max a.hi b.hi }
+let span a b = { lo = Int.min a.lo b.lo; hi = Int.max a.hi b.hi }
 
 let pad t ~fraction ~domain =
   if fraction < 0.0 then invalid_arg "Range.pad: negative fraction";
   if fraction = 0.0 then t
   else begin
     let width = cardinal t in
-    let delta = Stdlib.max 1 (int_of_float (fraction *. float_of_int width)) in
-    let lo = Stdlib.max domain.lo (t.lo - delta) in
-    let hi = Stdlib.min domain.hi (t.hi + delta) in
+    let delta = Int.max 1 (int_of_float (fraction *. float_of_int width)) in
+    let lo = Int.max domain.lo (t.lo - delta) in
+    let hi = Int.min domain.hi (t.hi + delta) in
     { lo; hi }
   end
 

@@ -21,12 +21,17 @@ let tracker_counts () =
   Tracker.record_query t ~peer:1 ~identifier:10;
   Tracker.record_query t ~peer:1 ~identifier:10;
   Tracker.record_query t ~peer:2 ~identifier:11;
-  Tracker.record_entry t ~peer:1;
+  Tracker.record_entries t ~peer:1 1;
+  Tracker.record_entries t ~peer:3 0;
   Alcotest.(check int) "total queries" 3 (Tracker.total_queries t);
   Alcotest.(check int) "peer 1 load" 2 (Tracker.peer_load t 1);
   Alcotest.(check int) "peer 2 load" 1 (Tracker.peer_load t 2);
   Alcotest.(check int) "unknown peer load" 0 (Tracker.peer_load t 99);
   Alcotest.(check int) "peer 1 entries" 1 (Tracker.peer_entries t 1);
+  Alcotest.(check int) "zero entries recorded" 0 (Tracker.peer_entries t 3);
+  Tracker.record_entries t ~peer:1 2;
+  Alcotest.(check int) "peer 1 entries after a copy" 3
+    (Tracker.peer_entries t 1);
   Alcotest.(check int) "hot score" 2 (Tracker.hot_score t 10);
   Alcotest.(check bool) "below threshold" false (Tracker.is_hot t 10)
 

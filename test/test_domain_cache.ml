@@ -64,8 +64,47 @@ let tiny_domain () =
     (Lsh.Scheme.identifiers_of_range scheme (mk 7 7))
     (Lsh.Domain_cache.identifiers cache (mk 7 7))
 
+(* Lengths where the sparse-table level changes: 1, every power of two,
+   one more and one less than it, and the whole domain — each at the
+   start, the end and an odd offset. A domain of exactly 2^10 values
+   makes the top level a single block. *)
+let level_edges kind () =
+  List.iter
+    (fun hi ->
+      let rng = Prng.Splitmix.create 17L in
+      let scheme = Lsh.Scheme.create ~universe:(hi + 1) kind ~k:3 ~l:2 rng in
+      let domain = mk 0 hi in
+      let cache = Lsh.Domain_cache.build scheme ~domain in
+      let d = hi + 1 in
+      let check r =
+        Alcotest.(check (list int))
+          (Printf.sprintf "domain [0,%d] range %s" hi (Range.to_string r))
+          (Lsh.Scheme.identifiers_of_range scheme r)
+          (Lsh.Domain_cache.identifiers cache r)
+      in
+      let lengths =
+        List.concat_map
+          (fun j ->
+            let p = 1 lsl j in
+            [ p - 1; p; p + 1 ])
+          (List.init 11 Fun.id)
+        |> List.filter (fun len -> len >= 1 && len <= d)
+        |> List.cons d
+      in
+      List.iter
+        (fun len ->
+          List.iter
+            (fun lo -> check (mk lo (lo + len - 1)))
+            (List.sort_uniq Int.compare [ 0; d - len; Int.min 37 (d - len) ]))
+        lengths)
+    [ 1000; 1023 ]
+
 let suite =
   [
+    Alcotest.test_case "sparse-table level edges: exact min-wise" `Quick
+      (level_edges Lsh.Family.Exact_minwise);
+    Alcotest.test_case "sparse-table level edges: approx min-wise" `Quick
+      (level_edges Lsh.Family.Approx_minwise);
     Alcotest.test_case "identical to direct: exact min-wise" `Quick
       (agrees_with_direct Lsh.Family.Exact_minwise);
     Alcotest.test_case "identical to direct: approx min-wise" `Quick

@@ -486,10 +486,69 @@ let composition_recall_floor () =
     true
     (rec_both >= rec_off)
 
+(* The planner's documented tie-breaks, on rounds where cooling and
+   unresponsive peers tie with eligible ones: the hottest eligible
+   source first (equal loads keep the caller's order), and the first
+   least-loaded eligible target in the caller's order. Positions are
+   10, 20, …, 80 with physical id = position; the caller's order is
+   deliberately not ascending. *)
+let planner_tie_breaks () =
+  let mg =
+    Migration.create
+      { Migration.check_every = 1; overload = 1.1; cooldown = 3; min_share = 1 }
+  in
+  let peers = [ 10; 20; 70; 40; 80; 60; 30; 50 ] in
+  let tick () =
+    Migration.tick mg ~peers
+      ~responsive:(fun p -> p <> 10 && p <> 40)
+      ~positions:(fun p -> [ p ])
+      ~predecessor:(fun p -> if p = 10 then 80 else p - 10)
+      ~scores:(fun () -> [])
+  in
+  let serve peer n =
+    for _ = 1 to n do
+      Migration.note_serve mg ~position:peer ~identifier:(peer - 5) ~peer
+    done
+  in
+  let expect label (source, target) =
+    match tick () with
+    | None -> Alcotest.failf "%s: expected a migration" label
+    | Some mv ->
+      Alcotest.(check (pair int int))
+        (label ^ ": (source, target)")
+        (source, target)
+        (mv.Migration.source, mv.Migration.target)
+  in
+  (* Round 1: 60 sheds to 20, the first zero-load eligible peer (10 is
+     unresponsive). Both then cool through round 4. *)
+  serve 60 10;
+  serve 30 1;
+  expect "round 1" (60, 20);
+  (* Round 2: the hottest peers are cooling (60) or unresponsive (40);
+     80 and 50 tie among the eligible, so the caller's order picks 80.
+     The zero-load 10 (unresponsive) and 20 (cooling) are no targets;
+     70 and 30 tie at one serve, and 70 comes first. *)
+  serve 40 6;
+  serve 60 6;
+  serve 80 5;
+  serve 50 5;
+  serve 70 1;
+  serve 30 1;
+  expect "round 2" (80, 70);
+  (* Round 3: only 30 and 50 are eligible. Both are overloaded; 50 is
+     hotter, so it goes first although 30 precedes it. *)
+  serve 40 9;
+  serve 60 9;
+  serve 30 4;
+  serve 50 6;
+  expect "round 3" (50, 30)
+
 let suite =
   [
     Alcotest.test_case "spec validation" `Quick spec_validation;
     Alcotest.test_case "planner mechanics" `Quick planner_unit;
+    Alcotest.test_case "planner tie-breaks with ineligible peers" `Quick
+      planner_tie_breaks;
     Alcotest.test_case "planner ignores the order of scores" `Quick
       scores_order_independent;
     Alcotest.test_case "migration is invisible fault-free" `Quick

@@ -202,6 +202,109 @@ let insert_flag_under_eviction policy ~touch ~expect_bucket1 () =
   (* The evicted range is gone, so inserting it again is fresh. *)
   put 1 (0, 10) ~expect:true
 
+(* [insert_all] against its oracle: [insert] on each entry in turn.
+   Both stores get the same random prefix of inserts (and, under LRU,
+   reads), then one copy of a batch into a single bucket. The batch
+   draws from a tiny range pool, so it repeats itself and overlaps the
+   bucket, and capacity 3 makes evictions hit the target bucket too.
+   A trailing insert checks the tables also agree on the next eviction. *)
+type step = Put of int * (int * int) | Touch of int
+
+let range_pool = QCheck.Gen.(map (fun lo -> (lo, lo + 5)) (int_range 0 7))
+
+let step_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map2 (fun i r -> Put (i, r)) (int_range 0 3) range_pool);
+        (1, map (fun i -> Touch i) (int_range 0 3));
+      ])
+
+let arb_case =
+  QCheck.make
+    ~print:(fun (prefix, (target, batch), (after_id, after)) ->
+      let r (lo, hi) = Printf.sprintf "[%d,%d]" lo hi in
+      Printf.sprintf "prefix %s; insert_all %d [%s]; then %d %s"
+        (String.concat "; "
+           (List.map
+              (function
+                | Put (i, rg) -> Printf.sprintf "put %d %s" i (r rg)
+                | Touch i -> Printf.sprintf "touch %d" i)
+              prefix))
+        target
+        (String.concat ";" (List.map r batch))
+        after_id (r after))
+    QCheck.Gen.(
+      triple
+        (list_size (int_range 0 10) step_gen)
+        (pair (int_range 0 3) (list_size (int_range 0 8) range_pool))
+        (pair (int_range 0 3) range_pool))
+
+let insert_all_matches_oracle name policy =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "insert_all equals per-entry insert (%s)" name)
+    ~count:500 arb_case
+    (fun (prefix, (target, batch), (after_id, after)) ->
+      let module S = P2prange.Store in
+      let fresh () =
+        let s = S.create ~policy () in
+        List.iter
+          (function
+            | Put (identifier, (lo, hi)) -> insert s ~identifier (entry lo hi)
+            | Touch identifier -> ignore (S.bucket s ~identifier))
+          prefix;
+        s
+      in
+      let batched = fresh () and oracle = fresh () in
+      let entries = List.map (fun (lo, hi) -> entry lo hi) batch in
+      let count = S.insert_all batched ~identifier:target entries in
+      let expected =
+        List.fold_left
+          (fun n e -> if S.insert oracle ~identifier:target e then n + 1 else n)
+          0 entries
+      in
+      let state s =
+        ( List.map
+            (fun identifier ->
+              List.map
+                (fun e -> Range.to_string e.S.range)
+                (S.peek_bucket s ~identifier))
+            [ 0; 1; 2; 3 ],
+          S.entry_count s,
+          S.evictions s,
+          S.identifiers s )
+      in
+      let agree = count = expected && state batched = state oracle in
+      let lo, hi = after in
+      insert batched ~identifier:after_id (entry lo hi);
+      insert oracle ~identifier:after_id (entry lo hi);
+      agree && state batched = state oracle)
+
+(* The eviction victims sit in the bucket being copied into: the batch
+   must see them gone, exactly as single inserts would. *)
+let insert_all_evicts_from_target () =
+  let s = P2prange.Store.create ~policy:(P2prange.Store.Fifo 3) () in
+  insert s ~identifier:1 (entry 0 10);
+  insert s ~identifier:1 (entry 20 30);
+  insert s ~identifier:2 (entry 40 50);
+  let added =
+    P2prange.Store.insert_all s ~identifier:1
+      [ entry 20 30; entry 60 70; entry 0 10; entry 60 70 ]
+  in
+  Alcotest.(check int) "two added, duplicates skipped" 2 added;
+  (* (60, 70) evicts (0, 10); re-adding (0, 10) then evicts (20, 30),
+     the batch's own earlier duplicate. *)
+  Alcotest.(check (list string)) "bucket 1, newest first"
+    [ "[0, 10]"; "[60, 70]" ]
+    (List.map
+       (fun e -> Range.to_string e.P2prange.Store.range)
+       (P2prange.Store.peek_bucket s ~identifier:1));
+  Alcotest.(check int) "two evictions" 2 (P2prange.Store.evictions s);
+  Alcotest.(check int) "bucket 2 untouched" 1
+    (List.length (P2prange.Store.peek_bucket s ~identifier:2));
+  Alcotest.(check int) "entry_count at capacity" 3
+    (P2prange.Store.entry_count s)
+
 let suite =
   [
     Alcotest.test_case "empty store" `Quick empty_bucket;
@@ -236,4 +339,12 @@ let suite =
               used entry. *)
            ignore (P2prange.Store.bucket s ~identifier:2))
          ~expect_bucket1:[ (60, 70); (40, 50) ]);
+    Alcotest.test_case "insert_all evicts out of its own bucket" `Quick
+      insert_all_evicts_from_target;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 14 |])
+      (insert_all_matches_oracle "unbounded" P2prange.Store.Unbounded);
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 14 |])
+      (insert_all_matches_oracle "LRU 3" (P2prange.Store.Lru 3));
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 14 |])
+      (insert_all_matches_oracle "FIFO 3" (P2prange.Store.Fifo 3));
   ]

@@ -40,11 +40,30 @@ val pp : Format.formatter -> t -> unit
 (** Zero-padded hexadecimal. *)
 
 (** Hash tables keyed by identifiers (and by any other [int]: peer ids,
-    ring positions). They hash with the polymorphic [Hashtbl.hash], so
-    every key lands in the same bucket as in a generic [Hashtbl] and
-    [fold]/[iter] visit the same order; only the probes are monomorphic
-    ([Int.equal] instead of [compare]). *)
-module Tbl : Hashtbl.S with type key = int
+    ring positions). The stdlib's table transcribed for [int] keys: the
+    index is the same [caml_hash] call as [Hashtbl.hash], and sizing,
+    resizing and bucket order are the stdlib's, so every key lands in the
+    same bucket as in a generic [Hashtbl] and [fold]/[iter] visit the same
+    order. Probes compare with [Int.equal] inline, without the functor's
+    closure calls. Each operation behaves as its [Hashtbl.S] namesake,
+    including adds and removes made during [iter]/[fold]. *)
+module Tbl : sig
+  type key = int
+  type 'a t
+
+  val create : int -> 'a t
+  val length : 'a t -> int
+  val clear : 'a t -> unit
+  val reset : 'a t -> unit
+  val add : 'a t -> key -> 'a -> unit
+  val remove : 'a t -> key -> unit
+  val find : 'a t -> key -> 'a
+  val find_opt : 'a t -> key -> 'a option
+  val mem : 'a t -> key -> bool
+  val replace : 'a t -> key -> 'a -> unit
+  val iter : (key -> 'a -> unit) -> 'a t -> unit
+  val fold : (key -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
+end
 
 (** The same for pairs of ints, e.g. (position, segment start). *)
 module Pair_tbl : Hashtbl.S with type key = int * int

@@ -68,6 +68,17 @@ let successors t id n =
   let len = size t in
   List.init (Stdlib.min n (len - 1)) (fun k -> t.sorted.((i + k + 1) mod len))
 
+let find_successor t id f =
+  let i = node_index t.sorted id in
+  let len = size t in
+  let rec walk k =
+    if k >= len then None
+    else
+      let s = t.sorted.((i + k) mod len) in
+      if f s then Some s else walk (k + 1)
+  in
+  walk 1
+
 let finger t id i =
   if i < 0 || i >= Id.bits then invalid_arg "Ring.finger: index out of range";
   t.fingers.(node_index t.sorted id).(i)

@@ -42,6 +42,13 @@ val successors : t -> Id.t -> int -> Id.t list
     @raise Not_found if [id] is not a node; @raise Invalid_argument on a
     negative count. *)
 
+val find_successor : t -> Id.t -> (Id.t -> bool) -> Id.t option
+(** [find_successor t id f]: the first node clockwise after node [id]
+    (never [id] itself) for which [f] holds, calling [f] on
+    [successors t id (size t - 1)] in order and stopping at the first
+    [true]; [None] when none holds. Builds no list.
+    @raise Not_found if [id] is not a node. *)
+
 val finger : t -> Id.t -> int -> Id.t
 (** [finger t n i] = [owner t (n + 2{^i})], for [i] in [\[0, 31]]. *)
 

@@ -54,6 +54,14 @@ let bucket t ~identifier =
 let peek_bucket t ~identifier =
   List.map (fun s -> s.entry) (raw_bucket t identifier)
 
+(* The bucket's list itself: every insertion, eviction or removal puts a
+   new list (or none) in the table, and list cells are immutable, so the
+   same list means the same entries. *)
+type token = stamped list
+
+let token t ~identifier = raw_bucket t identifier
+let same_token (a : token) b = a == b
+
 let remove_bucket t ~identifier =
   match Chord.Id.Tbl.find_opt t.buckets identifier with
   | None -> 0

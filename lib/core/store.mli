@@ -52,6 +52,19 @@ val peek_bucket : t -> identifier:Chord.Id.t -> entry list
 (** Like {!bucket} but never refreshes LRU stamps — for maintenance reads
     (replica copying, debugging) that must not perturb eviction order. *)
 
+type token
+(** A bucket's change token. *)
+
+val token : t -> identifier:Chord.Id.t -> token
+(** The current token of one bucket (absent buckets included). Reads no
+    entry and refreshes no LRU stamp. *)
+
+val same_token : token -> token -> bool
+(** Two tokens of the same bucket taken at different times are the same
+    only if no entry joined or left the bucket in between (LRU stamp
+    refreshes do not count). A bucket that changed and changed back may
+    get a new token, so a differing token proves nothing. *)
+
 val remove_bucket : t -> identifier:Chord.Id.t -> int
 (** Drops every entry under one identifier (a replica shedding a bucket it
     no longer serves); returns how many entries were removed. Removed

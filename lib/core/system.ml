@@ -1,9 +1,21 @@
 module Range = Rangeset.Range
 
+(* What the last replica copy of a bucket left behind: a copy from the
+   [home] peer onto the replica at ring position [replica] that evicted
+   nothing, after which the replica held every range of the home bucket.
+   The tokens are both buckets' {!Store.token}s right after that copy. *)
+type sync = {
+  replica : int;
+  home : int; (* peer id *)
+  home_token : Store.token;
+  replica_token : Store.token;
+}
+
 type replication_state = {
   r : int;
   view : Balance.Replicas.view;
   replicas : int list Chord.Id.Tbl.t; (* identifier -> replica positions *)
+  syncs : sync list Chord.Id.Tbl.t; (* identifier -> one per replica *)
   tie_rng : Prng.Splitmix.t;
 }
 
@@ -101,6 +113,7 @@ let create_with_peers ?(config = Config.default) ~seed names =
           r;
           view = Balance.Replicas.of_ring ring;
           replicas = Chord.Id.Tbl.create 64;
+          syncs = Chord.Id.Tbl.create 64;
           (* Split after every other stream has been drawn, so turning
              replication on leaves the scheme's hash functions untouched. *)
           tie_rng = Prng.Splitmix.split rng;
@@ -293,13 +306,18 @@ let traced_identifiers t range =
 
 let padding_fraction t = Padding.current_fraction t.padding
 
-(* Route one identifier from the requesting peer to its owner, with the
-   hop count. *)
+(* One routed identifier: the owner's ring position as the substrate's
+   lookup found it (the same [position_of] gives, so nothing downstream
+   resolves it again), the peer behind that position, and the hops. *)
+type route = { identifier : int; position : int; owner : Peer.t; hops : int }
+
+let route_to t identifier (position, hops) =
+  { identifier; position; owner = peer_by_id t position; hops }
+
+(* Route one identifier from the requesting peer to its owner. *)
 let route_one t ~from identifier =
-  let owner, hops =
-    Routing.lookup t.routing ~from:(Peer.id from) ~key:identifier
-  in
-  (identifier, peer_by_id t owner, hops)
+  route_to t identifier
+    (Routing.lookup t.routing ~from:(Peer.id from) ~key:identifier)
 
 (* One substrate lookup from a peer — the routed position and its hop
    count, for callers (Engine) that price their own messages. *)
@@ -365,29 +383,80 @@ let copy_tracked t peer ~identifier entries =
   Balance.Tracker.record_entries t.tracker ~peer:(Peer.id peer) fresh;
   fresh
 
-(* With migration on: the routed ring position, the peer now responsible
-   for the identifier after any slice redirect, and whether a redirect
-   happened. Redirect pointers live in the routing layer, so they apply
-   whether or not the native owner is up; a slice holder that is itself
-   unresponsive falls back to the native owner (whose bucket moved away,
-   so the lookup degrades into an empty answer instead of raising) and
-   the slice stays put for when the holder recovers. *)
-let resolve_home t ~identifier ~owner =
+(* A sync record of [identifier] still proves its replica peer [rp] holds
+   every range of [home]'s bucket: same home peer, neither bucket changed
+   since the copy. *)
+let still_synced s ~identifier ~home rp =
+  s.home = Peer.id home
+  && Store.same_token s.home_token (Store.token (Peer.store home) ~identifier)
+  && Store.same_token s.replica_token (Store.token (Peer.store rp) ~identifier)
+
+(* Mirror [home]'s bucket of [identifier] ([entries], see [home_bucket])
+   onto the replica peer [rp] at ring [position]; returns how many entries
+   were inserted. A copy the sync record proves would insert nothing is
+   skipped: it would make no store mutation at all. *)
+let sync_replica t rs ~identifier ~home ~entries ~position rp =
+  let records =
+    Option.value (Chord.Id.Tbl.find_opt rs.syncs identifier) ~default:[]
+  in
+  if
+    List.exists
+      (fun s -> s.replica = position && still_synced s ~identifier ~home rp)
+      records
+  then 0
+  else begin
+    let store = Peer.store rp in
+    let evictions = Store.evictions store in
+    let fresh = copy_tracked t rp ~identifier (Lazy.force entries) in
+    let others = List.filter (fun s -> s.replica <> position) records in
+    (* An eviction may have taken a home range back out of the replica. *)
+    if Store.evictions store = evictions then
+      Chord.Id.Tbl.replace rs.syncs identifier
+        ({
+           replica = position;
+           home = Peer.id home;
+           home_token = Store.token (Peer.store home) ~identifier;
+           replica_token = Store.token store ~identifier;
+         }
+        :: others)
+    else if others = [] then Chord.Id.Tbl.remove rs.syncs identifier
+    else Chord.Id.Tbl.replace rs.syncs identifier others;
+    fresh
+  end
+
+(* [home]'s bucket oldest first, read on first use. Insertion prepends, so
+   a copy in this order ends up in the home's bucket order and tie-breaks
+   in [Matching.best] the same. *)
+let home_bucket home ~identifier =
+  lazy (List.rev (Store.peek_bucket (Peer.store home) ~identifier))
+
+(* With migration on: the peer now responsible for the identifier owned
+   by ring [position] ([owner]) after any slice redirect, and whether a
+   redirect happened. Redirect pointers live in the routing layer, so they
+   apply whether or not the native owner is up; a slice holder that is
+   itself unresponsive falls back to the native owner (whose bucket moved
+   away, so the lookup degrades into an empty answer instead of raising)
+   and the slice stays put for when the holder recovers. *)
+let resolve_home t ~identifier ~position ~owner =
   match t.migration with
-  | None -> (owner, false, -1)
+  | None -> (owner, false)
   | Some mg -> (
-    let position = position_of t identifier in
     match Balance.Migration.holder mg ~position ~identifier with
-    | None -> (owner, false, position)
+    | None -> (owner, false)
     | Some target ->
       let holder = peer_by_id t target in
-      if responsive t holder then (holder, true, position)
+      if responsive t holder then (holder, true)
       else begin
         Obs.Metrics.incr m_migration_fallbacks;
         Obs.Trace.event_ii "balance.migration_fallback" "identifier" identifier
           "holder" target;
-        (owner, false, position)
+        (owner, false)
       end)
+
+(* The home of an identifier no route has resolved yet (repair, audit). *)
+let home_of t identifier =
+  let position = position_of t identifier in
+  fst (resolve_home t ~identifier ~position ~owner:(peer_by_id t position))
 
 (* Execute a planned migration: move every bucket of the slice from the
    source to the target, preserving bucket order (oldest first, as replica
@@ -452,8 +521,8 @@ let migrate_tick t =
 let store_at_owners t routes ~range ~partition =
   let entry = { Store.range; partition } in
   List.iter
-    (fun (identifier, owner, _) ->
-      let home, _, _ = resolve_home t ~identifier ~owner in
+    (fun { identifier; position; owner; _ } ->
+      let home, _ = resolve_home t ~identifier ~position ~owner in
       if responsive t home then
         insert_tracked t home ~identifier entry;
       match t.replication with
@@ -476,42 +545,34 @@ let store_at_owners t routes ~range ~partition =
    first live successor of the owner's ring position instead of losing
    it. The hint is stored physically in the holder's bucket (so it can be
    served degraded from there) and recorded in the registry for replay by
-   [repair]. Walking [successors] skips every virtual position of the
-   dead owner automatically — they all fail [responsive]. *)
-let park_hint t ~from ~identifier ~hops entry =
+   [repair]. Walking the successors of the owner's [position] skips
+   every virtual position of the dead owner automatically — they all
+   fail [responsive]. *)
+let park_hint t ~from ~identifier ~position ~hops entry =
   Obs.Trace.with_span "hint.park" (fun () ->
       Obs.Trace.set_int "identifier" identifier;
-      let position = position_of t identifier in
-      let r = ring t in
-      let candidates =
-        Chord.Ring.successors r position (Chord.Ring.size r - 1)
+      let accepts cpos =
+        let cp = peer_by_id t cpos in
+        responsive t cp && contact_peer t ~from ~peer:cp ~legs:(hops + 2)
       in
-      let rec try_park = function
-        | [] ->
-          Obs.Metrics.incr m_hint_failures;
-          Obs.Trace.set_bool "parked" false
-        | cpos :: rest ->
-          let cp = peer_by_id t cpos in
-          if responsive t cp && contact_peer t ~from ~peer:cp ~legs:(hops + 2)
-          then begin
-            insert_tracked t cp ~identifier entry;
-            let holders =
-              Option.value
-                (Chord.Id.Tbl.find_opt t.hints identifier)
-                ~default:[]
-            in
-            if not (List.mem cpos holders) then
-              Chord.Id.Tbl.replace t.hints identifier (holders @ [ cpos ]);
-            Obs.Metrics.incr m_hints_parked;
-            Obs.Series.incr1 s_hints_parked (Peer.name cp);
-            Obs.Trace.set_bool "parked" true;
-            Obs.Trace.set_int "holder" cpos;
-            Obs.Trace.event_ii "system.hint_parked" "identifier" identifier
-              "holder" cpos
-          end
-          else try_park rest
-      in
-      try_park candidates)
+      match Chord.Ring.find_successor (ring t) position accepts with
+      | None ->
+        Obs.Metrics.incr m_hint_failures;
+        Obs.Trace.set_bool "parked" false
+      | Some cpos ->
+        let cp = peer_by_id t cpos in
+        insert_tracked t cp ~identifier entry;
+        let holders =
+          Option.value (Chord.Id.Tbl.find_opt t.hints identifier) ~default:[]
+        in
+        if not (List.mem cpos holders) then
+          Chord.Id.Tbl.replace t.hints identifier (holders @ [ cpos ]);
+        Obs.Metrics.incr m_hints_parked;
+        Obs.Series.incr1 s_hints_parked (Peer.name cp);
+        Obs.Trace.set_bool "parked" true;
+        Obs.Trace.set_int "holder" cpos;
+        Obs.Trace.event_ii "system.hint_parked" "identifier" identifier
+          "holder" cpos)
 
 let parked_hints t = Chord.Id.Tbl.length t.hints
 
@@ -540,8 +601,7 @@ let repair t =
         let replayed = ref 0 and resynced = ref 0 in
         List.iter
           (fun identifier ->
-            let owner = owner_of_identifier t identifier in
-            let home, _, _ = resolve_home t ~identifier ~owner in
+            let home = home_of t identifier in
             if responsive t home then begin
               let holders =
                 Option.value (Chord.Id.Tbl.find_opt t.hints identifier)
@@ -588,18 +648,17 @@ let repair t =
         | Some rs ->
           List.iter
             (fun identifier ->
-              let owner = owner_of_identifier t identifier in
-              let home, _, _ = resolve_home t ~identifier ~owner in
+              let home = home_of t identifier in
               if responsive t home then begin
-                let entries =
-                  List.rev (Store.peek_bucket (Peer.store home) ~identifier)
-                in
+                let entries = home_bucket home ~identifier in
                 List.iter
                   (fun position ->
                     let rp = peer_by_id t position in
                     if Peer.id rp <> Peer.id home && responsive t rp then
                       resynced :=
-                        !resynced + copy_tracked t rp ~identifier entries)
+                        !resynced
+                        + sync_replica t rs ~identifier ~home ~entries
+                            ~position rp)
                   (Option.value
                      (Chord.Id.Tbl.find_opt rs.replicas identifier)
                      ~default:[])
@@ -627,9 +686,9 @@ let recover_peer t peer =
   if t.config.Config.hinted_handoff then repair t
 
 (* Create or refresh the replica set of a hot identifier, or lazily drop
-   the replicas of one that has cooled since its last lookup. Copies are
-   pull-style: whatever the owner's bucket currently holds is mirrored to
-   any replica missing it. *)
+   the replicas of one that has cooled since its last lookup, with their
+   sync records. Copies are pull-style: whatever the owner's bucket
+   currently holds is mirrored to any replica missing it. *)
 let maintain_replicas t rs ~identifier ~owner =
   if Balance.Tracker.is_hot t.tracker identifier then begin
     let desired =
@@ -649,14 +708,12 @@ let maintain_replicas t rs ~identifier ~owner =
     if not (List.equal Int.equal desired existing) then
       Chord.Id.Tbl.replace rs.replicas identifier desired;
     if responsive t owner then begin
-      (* Oldest first: insertion prepends, so the copy ends up in the
-         owner's bucket order and tie-breaks in [Matching.best] the same. *)
-      let entries = List.rev (Store.peek_bucket (Peer.store owner) ~identifier) in
+      let entries = home_bucket owner ~identifier in
       List.iter
         (fun position ->
-          let rp = peer_by_id t position in
           Obs.Metrics.add m_replicated_entries
-            (copy_tracked t rp ~identifier entries))
+            (sync_replica t rs ~identifier ~home:owner ~entries ~position
+               (peer_by_id t position)))
         desired
     end
   end
@@ -672,6 +729,7 @@ let maintain_replicas t rs ~identifier ~owner =
               : int))
         positions;
       Chord.Id.Tbl.remove rs.replicas identifier;
+      Chord.Id.Tbl.remove rs.syncs identifier;
       Obs.Metrics.incr m_replica_drops
 
 (* Who answers the lookup for [identifier] after routing reached [owner]:
@@ -753,7 +811,7 @@ let m_batch_coalesced = Obs.Metrics.counter "system.batch.coalesced_contacts"
    instead of re-recording the cost. *)
 type shared_round = {
   route_cache : Routing.cache;
-  routed : (Peer.t * int * int) Chord.Id.Tbl.t; (* id -> owner, hops, span *)
+  routed : (route * int) Chord.Id.Tbl.t; (* identifier -> route, span *)
   contacted : (bool * int) Chord.Id.Tbl.t; (* peer id -> outcome, span *)
 }
 
@@ -773,25 +831,24 @@ let route_in t round ~from ~charge identifier =
   | Alone -> route_one t ~from identifier
   | Batched { shared; _ } -> (
     match Chord.Id.Tbl.find_opt shared.routed identifier with
-    | Some (owner, hops, resolved_in) ->
+    | Some (route, resolved_in) ->
       Obs.Metrics.incr m_batch_id_hits;
       Obs.Trace.event_ii "batch.id_memo_hit" "identifier" identifier
         "resolved_in" resolved_in;
-      (identifier, owner, hops)
+      route
     | None ->
       Obs.Trace.with_span "route" (fun () ->
           Obs.Trace.set_int "identifier" identifier;
-          let owner_pos, hops =
-            Routing.lookup_via t.routing shared.route_cache
-              ~from:(Peer.id from) ~key:identifier
+          let route =
+            route_to t identifier
+              (Routing.lookup_via t.routing shared.route_cache
+                 ~from:(Peer.id from) ~key:identifier)
           in
-          let owner = peer_by_id t owner_pos in
-          Chord.Id.Tbl.replace shared.routed identifier
-            (owner, hops, current_span ());
-          charge hops;
-          Obs.Trace.set_int "hops" hops;
-          Obs.Trace.set_int "msgs" hops;
-          (identifier, owner, hops)))
+          Chord.Id.Tbl.replace shared.routed identifier (route, current_span ());
+          charge route.hops;
+          Obs.Trace.set_int "hops" route.hops;
+          Obs.Trace.set_int "msgs" route.hops;
+          route))
 
 let contact_in t round ~from ~charge peer ~hops =
   match round with
@@ -823,15 +880,15 @@ let contact_in t round ~from ~charge peer ~hops =
 let serve_routes t round ~from ~charge ~effective routes =
   let contact = contact_in t round ~from ~charge in
   List.map
-    (fun (identifier, owner, hops) ->
+    (fun { identifier; position; owner; hops } ->
       Obs.Trace.with_span "serve" (fun () ->
           Obs.Trace.set_int "identifier" identifier;
           Obs.Trace.set_int "owner" (Peer.id owner);
           Obs.Trace.set_int "route_hops" hops;
           (* Migrated slices pull the lookup's home off the native owner
              before replica selection even starts. *)
-          let home, redirected, position =
-            resolve_home t ~identifier ~owner
+          let home, redirected =
+            resolve_home t ~identifier ~position ~owner
           in
           if redirected then begin
             Obs.Metrics.incr m_migration_redirects;
@@ -949,8 +1006,8 @@ let publish t ~from ?partition range =
         | None, false -> routes
         | _ ->
           List.filter
-            (fun (identifier, owner, hops) ->
-              let home, _, _ = resolve_home t ~identifier ~owner in
+            (fun { identifier; position; owner; hops } ->
+              let home, _ = resolve_home t ~identifier ~position ~owner in
               (* Retries first (dead peers under a plane still cost their
                  timeout), then, with hints on, liveness: a fail_peer'ed
                  home answers the plane but must not keep the only copy. *)
@@ -959,13 +1016,13 @@ let publish t ~from ?partition range =
                 && ((not hinted) || responsive t home)
               in
               if hinted && not ok then
-                park_hint t ~from ~identifier ~hops
+                park_hint t ~from ~identifier ~position ~hops
                   { Store.range; partition };
               ok)
             routes
       in
       store_at_owners t reached ~range ~partition;
-      let stats = stats_of_hops ids (List.map (fun (_, _, h) -> h) routes) in
+      let stats = stats_of_hops ids (List.map (fun r -> r.hops) routes) in
       Obs.Metrics.incr m_publishes;
       Obs.Series.incr s_publishes;
       Obs.Metrics.add m_messages stats.messages;
@@ -1118,6 +1175,22 @@ let query_batch t ~from ranges =
             run_query t (Batched { shared; index }) ~from range)
           ranges)
 
+let sync_records t =
+  match t.replication with
+  | None -> []
+  | Some rs ->
+    List.concat_map
+      (fun identifier ->
+        Chord.Id.Tbl.find rs.syncs identifier
+        |> List.sort (fun a b -> Int.compare a.replica b.replica)
+        |> List.map (fun s ->
+               let home = peer_by_id t s.home in
+               ( identifier,
+                 s.replica,
+                 home,
+                 still_synced s ~identifier ~home (peer_by_id t s.replica) )))
+      (sorted_keys rs.syncs)
+
 (* Whole-system consistency audit, read-only and PRNG-free. Returns one
    structured finding per violation (empty = healthy): an [Error.t] with
    code [Broken_invariant], the human-readable line as its message, and
@@ -1171,8 +1244,7 @@ let check_invariants_detailed t =
      replica, or a responsive hint holder. *)
   let checked = Chord.Id.Tbl.create 64 in
   let reachable identifier =
-    let owner = owner_of_identifier t identifier in
-    let home, _, _ = resolve_home t ~identifier ~owner in
+    let home = home_of t identifier in
     let has peer = Store.peek_bucket (Peer.store peer) ~identifier <> [] in
     (responsive t home && has home)
     || (match t.replication with

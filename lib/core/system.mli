@@ -197,6 +197,13 @@ val replicated_buckets : t -> int
 (** How many identifiers currently have live replica sets (0 when
     replication is off). *)
 
+val sync_records : t -> (Chord.Id.t * Chord.Id.t * Peer.t * bool) list
+(** The replica sync records, as [(identifier, replica position, home,
+    current)] sorted by identifier then position. A record is kept after a
+    replica copy from [home] that evicted nothing; [current] says neither
+    bucket has changed since, which is when the next copy is skipped
+    (DESIGN decision 11). Empty when replication is off. *)
+
 val migrated_slices : t -> int
 (** Live migrated range slices across all ring positions (0 when
     migration is off). *)
